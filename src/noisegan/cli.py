@@ -221,8 +221,9 @@ def cmd_toy_disc(args) -> int:
     schedule = _schedule_from_args(args)
     os.makedirs(args.out, exist_ok=True)
     levels = _parse_int_list(args.t_list, "--t-list")
-    if any(t < 1 for t in levels):
-        raise _UsageError("toy-disc requires levels t >= 1")
+    if any(t < 1 or t > schedule.t_max_cap for t in levels):
+        raise _UsageError(
+            f"toy-disc requires levels 1 <= t <= {schedule.t_max_cap}, got {levels}")
 
     rows, series = [], []
     for t in levels:

@@ -110,7 +110,7 @@ def check_isolated(sizes, seed: int, n: int = 8, per_layer: int = 64,
     grads, x_grad = backward(net, cache, coefs)
     analytic = np.concatenate([g.ravel() for g in grads])
     coords = pick_coords(net, rng, per_layer)
-    fd = fd_on_coords(lambda: float(np.sum(coefs * forward(net, x)[0])),
+    fd = fd_on_coords(lambda: float(np.sum(coefs * forward(net, x, cache=False)[0])),
                       net, coords, h)
     err = rel_err(analytic[coords], fd)
 
@@ -120,9 +120,9 @@ def check_isolated(sizes, seed: int, n: int = 8, per_layer: int = 64,
     for c in range(x.size):
         keep = flat[c]
         flat[c] = keep + h
-        up = float(np.sum(coefs * forward(net, x)[0]))
+        up = float(np.sum(coefs * forward(net, x, cache=False)[0]))
         flat[c] = keep - h
-        down = float(np.sum(coefs * forward(net, x)[0]))
+        down = float(np.sum(coefs * forward(net, x, cache=False)[0]))
         flat[c] = keep
         fd_x[c] = (up - down) / (2.0 * h)
     return max(err, rel_err(x_grad.ravel(), fd_x))
@@ -137,9 +137,10 @@ def check_gen_path(schedule: DiffusionSchedule, t: int, seed: int, n: int = 8,
     t_arr = np.full(n, t, dtype=np.int64)
 
     def run(with_cache=False):
-        x, gcache = forward(gen, z)
+        x, gcache = forward(gen, z, cache=with_cache)
         y = diffuse(x, t_arr, eps, schedule)
-        logits, dcache = forward(disc, cond_input(y, t_arr, schedule.t_max_cap))
+        logits, dcache = forward(disc, cond_input(y, t_arr, schedule.t_max_cap),
+                                 cache=with_cache)
         if with_cache:
             return x, gcache, logits, dcache
         return g_loss(logits)
@@ -154,8 +155,8 @@ def check_gen_path(schedule: DiffusionSchedule, t: int, seed: int, n: int = 8,
         raise RuntimeError("could not draw a batch clear of activation kinks")
 
     x, gcache, logits, dcache = run(with_cache=True)
-    _, in_grad = backward(disc, dcache, -sigmoid(-logits) / n)
-    keep = np.sqrt(schedule.alpha_bars[t_arr].astype(np.float64))
+    _, in_grad = backward(disc, dcache, -sigmoid(-logits) / n, param_grads=False)
+    keep = schedule.keep[t_arr]
     ggrads, _ = backward(gen, gcache, in_grad[:, :GEN_SIZES[-1]] * keep[:, None])
     analytic = np.concatenate([g.ravel() for g in ggrads])
 

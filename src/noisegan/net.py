@@ -1,10 +1,21 @@
 """Small dense networks with explicit forward/backward passes.
 
 Plain numpy, no autodiff: ``forward`` returns the output plus a cache of
-layer inputs and pre-activations, ``backward`` consumes the cache and an
-output-side gradient and produces parameter gradients plus the gradient
-with respect to the network input.  Hidden layers use leaky ReLU; the
-final layer is affine (losses apply their own link).
+layer inputs, pre-activations and hidden-layer slopes (``cache=False``
+keeps none of them when only the output is wanted), ``backward``
+consumes the cache and an output-side gradient and produces parameter
+gradients plus the gradient with respect to the network input
+(``param_grads=False`` skips the parameter gradients when only the input
+gradient is wanted).  Hidden layers use leaky ReLU; the final layer is
+affine (losses apply their own link).
+
+``leaky_relu`` computes the activation without a branch: each hidden
+layer's slope ``s`` is exactly 1.0 where ``z >= 0`` and exactly ``leak``
+elsewhere (``leak + (1 - leak)`` rounds to 1.0 for every leak in [0, 1],
+the only leaks a net accepts), so ``z * s`` equals
+``np.where(z >= 0, z, leak * z)`` bit for bit, signed zeros, infinities
+and nans included.  ``backward`` multiplies by the cached slopes instead
+of recomputing them.
 
 Parameters are exposed as the flat list ``[W0, b0, W1, b1, ...]`` by
 ``parameters``; gradients from ``backward`` and the moment lists in
@@ -25,6 +36,10 @@ class DenseNet:
     biases: list     # [np.ndarray (fan_out,), ...]
     leak: float = 0.2
 
+    def __post_init__(self):
+        if not 0.0 <= self.leak <= 1.0:
+            raise ValueError(f"leak must be in [0, 1], got {self.leak}")
+
     @property
     def sizes(self) -> list:
         """Layer widths, input first."""
@@ -36,6 +51,7 @@ class ForwardCache:
     """What ``backward`` needs from a ``forward`` call."""
     inputs: list     # input to each layer (post-activation of the previous one)
     preacts: list    # affine outputs z of each layer
+    slopes: list     # leaky-ReLU slope (1.0 or leak) of each hidden layer
 
 
 @dataclass
@@ -69,36 +85,63 @@ def parameters(net: DenseNet) -> list:
     return out
 
 
-def forward(net: DenseNet, x: np.ndarray):
+def forward(net: DenseNet, x: np.ndarray, cache: bool = True):
     """Run a (n, fan_in) batch through the net.
 
     Returns ``(out, cache)`` with ``out`` of shape (n, fan_out_last).
+    With ``cache=False`` no layer arrays are kept for ``backward`` (a
+    caller that only wants the output holds one layer at a time) and the
+    returned cache is ``None``; ``out`` is the same either way.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.weights[0].shape[1]:
         raise ValueError(
             f"expected batch of shape (n, {net.weights[0].shape[1]}), got {x.shape}")
-    inputs, preacts = [], []
+    kept = ForwardCache([], [], []) if cache else None
     h = x
     last = len(net.weights) - 1
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        inputs.append(h)
-        z = h @ w.T + b
-        preacts.append(z)
-        h = z if i == last else np.where(z >= 0.0, z, net.leak * z)
-    return h, ForwardCache(inputs, preacts)
+        z = h @ w.T
+        z += b
+        if kept is not None:
+            kept.inputs.append(h)
+            kept.preacts.append(z)
+        if i == last:
+            h = z
+        else:
+            h, s = leaky_relu(z, net.leak)
+            if kept is not None:
+                kept.slopes.append(s)
+    return h, kept
 
 
-def backward(net: DenseNet, cache: ForwardCache, out_grad: np.ndarray):
+def leaky_relu(z: np.ndarray, leak: float):
+    """``(h, s)``: the leaky ReLU of ``z`` and its slope, without a branch.
+
+    ``s`` is exactly 1.0 where ``z >= 0`` and exactly ``leak`` elsewhere,
+    and ``h = z * s`` equals ``np.where(z >= 0, z, leak * z)`` bit for
+    bit, for any leak in [0, 1].
+    """
+    s = (z >= 0.0).astype(np.float64)
+    s *= 1.0 - leak
+    s += leak
+    return z * s, s
+
+
+def backward(net: DenseNet, cache: ForwardCache, out_grad: np.ndarray,
+             param_grads: bool = True):
     """Backpropagate ``out_grad`` (same shape as the forward output).
 
     Returns ``(grads, x_grad)`` where ``grads`` aligns with
     ``parameters(net)`` and ``x_grad`` is the gradient at the input.
+    With ``param_grads=False`` the parameter gradients are not computed
+    and ``grads`` is ``None``; ``x_grad`` is the same either way.
     Raises ``ValueError`` on a cache that does not match the net or an
     out_grad that does not match the cached batch.
     """
     n_layers = len(net.weights)
-    if len(cache.inputs) != n_layers or len(cache.preacts) != n_layers:
+    if (len(cache.inputs) != n_layers or len(cache.preacts) != n_layers
+            or len(cache.slopes) != n_layers - 1):
         raise ValueError("cache does not match this net (wrong number of layers)")
     out_grad = np.asarray(out_grad, dtype=np.float64)
     expected = (cache.inputs[0].shape[0], net.weights[-1].shape[0])
@@ -108,15 +151,16 @@ def backward(net: DenseNet, cache: ForwardCache, out_grad: np.ndarray):
         if h.shape[1] != w.shape[1] or cache.preacts[i].shape[1] != w.shape[0]:
             raise ValueError(f"cache layer {i} does not match this net")
 
-    grads = [None] * (2 * n_layers)
+    grads = [None] * (2 * n_layers) if param_grads else None
     delta = out_grad
     for i in range(n_layers - 1, -1, -1):
-        grads[2 * i] = delta.T @ cache.inputs[i]
-        grads[2 * i + 1] = delta.sum(axis=0)
+        if param_grads:
+            grads[2 * i] = delta.T @ cache.inputs[i]
+            grads[2 * i + 1] = delta.sum(axis=0)
         x_grad = delta @ net.weights[i]
         if i > 0:
-            z = cache.preacts[i - 1]
-            delta = x_grad * np.where(z >= 0.0, 1.0, net.leak)
+            x_grad *= cache.slopes[i - 1]
+            delta = x_grad
     return grads, x_grad
 
 
@@ -139,22 +183,46 @@ def adam_step(net: DenseNet, grads: list, state: AdamState) -> None:
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
+        # two scratch arrays, same operation order as the textbook
+        # m = b1 m + ((1-b1) g); v = b2 v + ((1-b2) g) g;
+        # p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+        step = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += step
+        np.multiply(g, 1.0 - b2, out=step)
+        step *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        v += step
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, bc1, out=step)
+        step *= state.lr
+        step /= denom
+        p -= step
 
 
-def cond_input(y: np.ndarray, t, t_norm: int) -> np.ndarray:
-    """Append the scalar level feature t / t_norm as an extra column."""
+def cond_input(y: np.ndarray, t, t_norm: int, out: np.ndarray = None) -> np.ndarray:
+    """Append the scalar level feature t / t_norm as an extra column.
+
+    ``t`` is a scalar or one level per row.  With ``out`` (a float64
+    array of shape (n, d + 1), for instance a row slice of a larger
+    batch) the result is written there and ``out`` is returned.
+    """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise ValueError(f"expected a 2-d batch, got shape {y.shape}")
     if t_norm < 1:
         raise ValueError(f"t_norm must be >= 1, got {t_norm}")
-    feat = np.broadcast_to(np.asarray(t, dtype=np.float64) / t_norm, (y.shape[0],))
-    return np.column_stack([y, feat])
+    shape = (y.shape[0], y.shape[1] + 1)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, "
+                         f"got {out.dtype} {out.shape}")
+    out[:, :-1] = y
+    out[:, -1] = np.asarray(t, dtype=np.float64) / t_norm
+    return out
 
 
 def save_net(net: DenseNet, path) -> None:

@@ -14,7 +14,7 @@ mostly so tests can confirm the equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,10 @@ class DiffusionSchedule:
     with ``betas[0] = 0`` (unused sentinel) and ``alpha_bars[0] = 1``.
     ``alpha_bars`` is accumulated and stored in the widest float dtype
     available so the 1000-fold product does not drift; cast at use sites.
+    ``keep[t] = sqrt(alpha_bars[t])`` and
+    ``noise[t] = sqrt(1 - alpha_bars[t]) * sigma`` are the float64
+    coefficients of ``diffuse``, computed once from ``alpha_bars`` cast
+    to float64.
     """
 
     t_max_cap: int
@@ -36,10 +40,15 @@ class DiffusionSchedule:
     sigma: float
     betas: np.ndarray        # float64, shape (t_max_cap + 1,)
     alpha_bars: np.ndarray   # longdouble, shape (t_max_cap + 1,)
+    keep: np.ndarray = field(init=False)    # float64, shape (t_max_cap + 1,)
+    noise: np.ndarray = field(init=False)   # float64, shape (t_max_cap + 1,)
 
     def __post_init__(self):
-        self.betas.setflags(write=False)
-        self.alpha_bars.setflags(write=False)
+        a = self.alpha_bars.astype(np.float64)
+        object.__setattr__(self, "keep", np.sqrt(a))
+        object.__setattr__(self, "noise", np.sqrt(1.0 - a) * self.sigma)
+        for table in (self.betas, self.alpha_bars, self.keep, self.noise):
+            table.setflags(write=False)
 
 
 def build_schedule(t_max_cap: int = 1000,
@@ -97,13 +106,14 @@ def diffuse(x: np.ndarray, t, eps: np.ndarray,
     elif t.ndim != 0:
         raise ValueError(f"t must be a scalar or 1-d array, got shape {t.shape}")
 
-    a = schedule.alpha_bars[t].astype(np.float64)
-    keep = np.sqrt(a)
-    noise = np.sqrt(1.0 - a) * schedule.sigma
+    keep = schedule.keep[t]
+    noise = schedule.noise[t]
     if t.ndim == 1:
         keep = keep[:, None]
         noise = noise[:, None]
-    return keep * x + noise * eps
+    out = keep * x
+    out += noise * eps
+    return out
 
 
 def diffuse_chain(x: np.ndarray, t, rng: np.random.Generator,

@@ -33,7 +33,8 @@ from .errors import NumericError
 from .net import (AdamState, DenseNet, adam_step, backward, cond_input,
                   forward, init_dense)
 from .schedule import DiffusionSchedule, build_schedule, diffuse
-from .tsampler import TimestepPolicy, draw_t, init_policy, observe_d, update_t
+from .tsampler import (TimestepPolicy, check_policy_settings, draw_t, init_policy,
+                       observe_d, update_t)
 
 
 @dataclass
@@ -95,6 +96,10 @@ class GanConfig:
                 f"lr_hold_frac must be in [0, 1], got {self.lr_hold_frac}")
         if not (self.t_max <= self.t_max_cap):
             raise ValueError(f"t_max {self.t_max} exceeds t_max_cap {self.t_max_cap}")
+        # checked for both arms: the vanilla arm still closes a trace
+        # window every update_interval steps
+        check_policy_settings(self.t_min, self.t_max, self.d_target, self.c_step,
+                              self.mode, self.update_interval)
 
 
 def config_from_dict(doc: dict) -> GanConfig:
@@ -257,16 +262,18 @@ def train_step(state: TrainState) -> None:
     else:
         t = np.zeros(m, dtype=np.int64)
         y_real = real
-    x_fake, _ = forward(state.gen, z)
+    x_fake, _ = forward(state.gen, z, cache=False)
     y_fake = _noised_batch(state, x_fake, t) if state.policy is not None else x_fake
 
     feat = _level_feature(state, t)
-    d_in = np.concatenate([cond_input(y_real, feat, cfg.t_max_cap),
-                           cond_input(y_fake, feat, cfg.t_max_cap)])
+    d_in = np.empty((2 * m, dim + 1))
+    cond_input(y_real, feat, cfg.t_max_cap, out=d_in[:m])
+    cond_input(y_fake, feat, cfg.t_max_cap, out=d_in[m:])
     logits, dcache = forward(state.disc, d_in)
     r_logits, f_logits = logits[:m], logits[m:]
     dl = d_loss(r_logits, f_logits)
-    dlogits = np.concatenate([-sigmoid(-r_logits), sigmoid(f_logits)]) / m
+    d_fake_probs = sigmoid(f_logits)
+    dlogits = np.concatenate([-sigmoid(-r_logits), d_fake_probs]) / m
     dgrads, _ = backward(state.disc, dcache, dlogits)
     adam_step(state.disc, dgrads, state.opt_d)
 
@@ -286,11 +293,11 @@ def train_step(state: TrainState) -> None:
     logits2, dcache2 = forward(state.disc, cond_input(y_gen, _level_feature(state, t2),
                                                       cfg.t_max_cap))
     gl = g_loss(logits2)
-    _, in_grad = backward(state.disc, dcache2, -sigmoid(-logits2) / m)
+    _, in_grad = backward(state.disc, dcache2, -sigmoid(-logits2) / m,
+                          param_grads=False)
     x_grad = in_grad[:, :dim]
     if state.policy is not None:
-        keep = np.sqrt(state.schedule.alpha_bars[t2].astype(np.float64))
-        x_grad = x_grad * keep[:, None]
+        x_grad = x_grad * state.schedule.keep[t2][:, None]
     ggrads, _ = backward(state.gen, gcache, x_grad)
     adam_step(state.gen, ggrads, state.opt_g)
 
@@ -299,14 +306,14 @@ def train_step(state: TrainState) -> None:
     if not (np.isfinite(dl) and np.isfinite(gl)):
         state.trace.append(TraceRow(state.step, _ceiling(state), 0.0, dl, gl,
                                     float(d_real_probs.mean()),
-                                    float(sigmoid(f_logits).mean())))
+                                    float(d_fake_probs.mean())))
         raise NumericError(f"non-finite loss at step {state.step}: "
                            f"d_loss={dl} g_loss={gl}")
     win = state._win
     win["d_loss"].append(dl)
     win["g_loss"].append(gl)
     win["d_real"].append(float(d_real_probs.mean()))
-    win["d_fake"].append(float(sigmoid(f_logits).mean()))
+    win["d_fake"].append(float(d_fake_probs.mean()))
     if state.step % cfg.update_interval == 0:
         r_d = update_t(state.policy, rng) if state.policy is not None else 0.0
         _flush_window(state, r_d)
@@ -347,7 +354,7 @@ def generate(gen: DenseNet, n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     latent = gen.weights[0].shape[1]
-    out, _ = forward(gen, rng.standard_normal((n, latent))) if n else \
+    out, _ = forward(gen, rng.standard_normal((n, latent)), cache=False) if n else \
         (np.zeros((0, gen.weights[-1].shape[0])), None)
     return out
 

@@ -41,18 +41,25 @@ class TimestepPolicy:
     _sign_count: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if not (1 <= self.t_min <= self.t_max):
-            raise ValueError(f"need 1 <= t_min <= t_max, got {self.t_min}, {self.t_max}")
-        if self.c_step < 1:
-            raise ValueError(f"c_step must be >= 1, got {self.c_step}")
-        if self.update_interval < 1:
-            raise ValueError(f"update_interval must be >= 1, got {self.update_interval}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not np.isfinite(self.d_target) or not (-1.0 <= self.d_target <= 1.0):
-            raise ValueError(f"d_target must be finite in [-1, 1], got {self.d_target}")
+        check_policy_settings(self.t_min, self.t_max, self.d_target, self.c_step,
+                              self.mode, self.update_interval)
         self.t_current = self.t_min
         self.explore_levels = np.zeros(EXPLORE_SIZE, dtype=np.int64)
+
+
+def check_policy_settings(t_min, t_max, d_target, c_step, mode,
+                          update_interval) -> None:
+    """Raise ``ValueError`` unless the policy settings are in range."""
+    if not (1 <= t_min <= t_max):
+        raise ValueError(f"need 1 <= t_min <= t_max, got {t_min}, {t_max}")
+    if c_step < 1:
+        raise ValueError(f"c_step must be >= 1, got {c_step}")
+    if update_interval < 1:
+        raise ValueError(f"update_interval must be >= 1, got {update_interval}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if not np.isfinite(d_target) or not (-1.0 <= d_target <= 1.0):
+        raise ValueError(f"d_target must be finite in [-1, 1], got {d_target}")
 
 
 def init_policy(rng: np.random.Generator, **kwargs) -> TimestepPolicy:

@@ -194,6 +194,7 @@ def test_a9_cli_determinism(tmp_path):
 
 # -------------------------------------------------------------------- A8
 
+@pytest.mark.gate
 def test_a8_injected_noise_does_not_leak():
     # Both arms train at the same two-timescale setting (a discriminator
     # 40x faster than the generator, both rates decayed to 10%) so the
@@ -243,6 +244,7 @@ def test_a8_injected_noise_does_not_leak():
 
 # -------------------------------------------------------------------- A1
 
+@pytest.mark.gate
 def test_a1_grid_benchmark():
     cfg_probe = GanConfig()
     pinned = (cfg_probe.sigma, cfg_probe.d_target, cfg_probe.c_step,

@@ -276,6 +276,20 @@ class TestDiffuseDemo:
                     "--data-n", "10", "--t-list", "1001"]) == 1
 
 
+class TestBadInputsExitWithAMessage:
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--no-diffusion", "--update-interval", "0", *TRAIN_TINY],
+         "update_interval"),
+        (["train", "--no-diffusion", "--t-min", "0", *TRAIN_TINY], "t_min"),
+        (["toy-disc", "--t-list", "5000", "--no-svg"], "t <= 1000"),
+    ])
+    def test_usage_error_not_traceback(self, tmp_path, capsys, argv, message):
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert "Traceback" not in err
+
+
 class TestMetaAndParser:
     def test_meta_contents(self, tmp_path):
         out = tmp_path / "o"

@@ -1,10 +1,13 @@
 """Dense nets: forward, hand-checked backward, Adam, conditioning, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
 from noisegan import (AdamState, DenseNet, adam_step, backward, cond_input,
                       forward, init_dense, load_net, parameters, save_net)
+from noisegan.net import leaky_relu
 from noisegan.gradcheck import (check_isolated, fd_on_coords, param_vector,
                                 pick_coords, rel_err, set_param_vector)
 
@@ -200,6 +203,208 @@ class TestCondInput:
             cond_input(np.zeros(2), 1, 1000)
         with pytest.raises(ValueError):
             cond_input(np.zeros((2, 2)), 1, 0)
+
+
+# ---------------------------------------------------- bitwise reference
+
+def ref_forward(net, x):
+    """Textbook forward: leaky ReLU by ``np.where``, one fresh array per op."""
+    inputs, preacts = [], []
+    h = np.asarray(x, dtype=np.float64)
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(h)
+        z = h @ w.T + b
+        preacts.append(z)
+        h = z if i == last else np.where(z >= 0.0, z, net.leak * z)
+    return h, inputs, preacts
+
+
+def ref_backward(net, inputs, preacts, out_grad):
+    """Textbook backward: the slope is rebuilt from the pre-activation."""
+    n_layers = len(net.weights)
+    grads = [None] * (2 * n_layers)
+    delta = out_grad
+    for i in range(n_layers - 1, -1, -1):
+        grads[2 * i] = delta.T @ inputs[i]
+        grads[2 * i + 1] = delta.sum(axis=0)
+        x_grad = delta @ net.weights[i]
+        if i > 0:
+            delta = x_grad * np.where(preacts[i - 1] >= 0.0, 1.0, net.leak)
+    return grads, x_grad
+
+
+def ref_adam_step(params, grads, m, v, step, lr, b1=0.5, b2=0.999, eps=1e-8):
+    """Textbook Adam on plain lists; returns the new step count."""
+    step += 1
+    bc1 = 1.0 - b1 ** step
+    bc2 = 1.0 - b2 ** step
+    for p, g, mm, vv in zip(params, grads, m, v):
+        mm *= b1
+        mm += (1.0 - b1) * g
+        vv *= b2
+        vv += (1.0 - b2) * g * g
+        p -= lr * (mm / bc1) / (np.sqrt(vv / bc2) + eps)
+    return step
+
+
+def same_bits(a, b) -> bool:
+    """Equal shape, dtype and every bit (tells -0.0 from 0.0, compares nans)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype == np.float64
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -1.5,
+                     5e-324, -5e-324, 1e308, -1e308])
+
+
+def batch_with_specials(rng, n, width):
+    """A normal batch with about one entry in five replaced by a special value."""
+    x = rng.standard_normal((n, width))
+    mask = rng.random(x.shape) < 0.2
+    x[mask] = rng.choice(SPECIALS, size=int(mask.sum()))
+    return x
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf and nan inputs
+class TestBitwiseReference:
+    """The fast kernels against textbook copies of the same arithmetic."""
+
+    @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0, 0.5, np.nextafter(0.5, 0.0),
+                                      5e-324, 1e-17, 1.0 - 2.0 ** -53, 0.7, 0.999])
+    def test_leaky_relu(self, leak):
+        z = np.concatenate([SPECIALS, np.random.default_rng(19).standard_normal(50)])
+        h, s = leaky_relu(z, leak)
+        assert same_bits(h, np.where(z >= 0.0, z, leak * z))
+        assert same_bits(s, np.where(z >= 0.0, 1.0, leak))
+
+    def test_leaky_relu_slope_is_exact_for_random_leaks(self):
+        leaks = np.random.default_rng(18).random(100_000)
+        assert np.all(leaks + (1.0 - leaks) == 1.0)
+
+    @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0])
+    def test_special_preactivations(self, leak):
+        # layer 0 copies its one input to every unit (weight 1, bias -0.0),
+        # so the hidden pre-activations are exactly the special values
+        width = 6
+        rng = np.random.default_rng(20)
+        net = DenseNet([np.ones((width, 1)), rng.uniform(-1, 1, (2, width))],
+                       [np.full(width, -0.0), np.zeros(2)], leak)
+        x = SPECIALS[:, None]
+        out, cache = forward(net, x)
+        want, inputs, preacts = ref_forward(net, x)
+        # the matmul turns -0.0 into +0.0; test_leaky_relu covers -0.0
+        assert np.array_equal(cache.preacts[0][:, 0], SPECIALS, equal_nan=True)
+        assert same_bits(cache.inputs[1], inputs[1])
+        assert same_bits(out, want)
+        g = rng.standard_normal(out.shape)
+        grads, x_grad = backward(net, cache, g)
+        rgrads, rx_grad = ref_backward(net, inputs, preacts, g)
+        assert all(same_bits(a, b) for a, b in zip(grads, rgrads))
+        assert same_bits(x_grad, rx_grad)
+
+    @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("sizes", [[3, 16, 16, 2], [2, 128, 128, 1], [4, 5]])
+    def test_forward_and_backward(self, leak, sizes):
+        rng = np.random.default_rng(21)
+        for trial in range(3):
+            net = init_dense(sizes, rng, leak=leak)
+            net.biases = [rng.uniform(-0.5, 0.5, b.shape) for b in net.biases]
+            x = (batch_with_specials(rng, 33, sizes[0]) if trial
+                 else rng.standard_normal((33, sizes[0])))
+            out, cache = forward(net, x)
+            want, inputs, preacts = ref_forward(net, x)
+            assert same_bits(out, want)
+            uncached, none = forward(net, x, cache=False)
+            assert none is None and same_bits(uncached, want)
+            assert all(same_bits(a, b) for a, b in zip(cache.inputs, inputs))
+            assert all(same_bits(a, b) for a, b in zip(cache.preacts, preacts))
+            g = rng.standard_normal(out.shape)
+            grads, x_grad = backward(net, cache, g)
+            rgrads, rx_grad = ref_backward(net, inputs, preacts, g)
+            assert all(same_bits(a, b) for a, b in zip(grads, rgrads))
+            assert same_bits(x_grad, rx_grad)
+            none, in_grad = backward(net, cache, g, param_grads=False)
+            assert none is None
+            assert same_bits(in_grad, x_grad)
+
+    def test_backward_leaves_cache_and_out_grad_alone(self):
+        rng = np.random.default_rng(22)
+        net = init_dense([3, 8, 8, 1], rng)
+        out, cache = forward(net, rng.standard_normal((5, 3)))
+        kept = [a.copy() for a in cache.inputs + cache.preacts + cache.slopes]
+        g = rng.standard_normal(out.shape)
+        g_kept = g.copy()
+        first = backward(net, cache, g)
+        second = backward(net, cache, g)
+        assert all(same_bits(a, b) for a, b in
+                   zip(cache.inputs + cache.preacts + cache.slopes, kept))
+        assert same_bits(g, g_kept)
+        assert same_bits(first[1], second[1])
+
+    @pytest.mark.parametrize("lr", [1e-4, 4e-3, 0.0])
+    def test_adam_step(self, lr):
+        rng = np.random.default_rng(23)
+        net = init_dense([2, 16, 16, 3], rng)
+        ref = [p.copy() for p in parameters(net)]
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        state = AdamState(lr=lr)
+        step = 0
+        for k in range(6):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3)
+                     for p in ref]
+            if k == 2:
+                grads[0][:] = 0.0
+                grads[1][:] = -0.0
+            adam_step(net, grads, state)
+            step = ref_adam_step(ref, grads, m, v, step, lr)
+            assert state.step == step
+            assert all(same_bits(a, b) for a, b in zip(parameters(net), ref))
+            assert all(same_bits(a, b) for a, b in zip(state.m, m))
+            assert all(same_bits(a, b) for a, b in zip(state.v, v))
+
+    def test_cond_input_into_slices(self):
+        rng = np.random.default_rng(24)
+        a, b = rng.standard_normal((4, 2)), rng.standard_normal((4, 2))
+        t = np.array([0, 3, 999, 1000])
+        want = np.concatenate([np.column_stack([a, t / 1000.0]),
+                               np.column_stack([b, t / 1000.0])])
+        buf = np.empty((8, 3))
+        assert cond_input(a, t, 1000, out=buf[:4]).base is buf
+        cond_input(b, t, 1000, out=buf[4:])
+        assert same_bits(buf, want)
+        assert same_bits(cond_input(a, t, 1000), want[:4])
+        with pytest.raises(ValueError):
+            cond_input(a, t, 1000, out=np.empty((4, 2)))
+        with pytest.raises(ValueError):
+            cond_input(a, t, 1000, out=np.empty((4, 3), dtype=np.float32))
+        with pytest.raises(ValueError):
+            cond_input(a, t[:3], 1000)
+
+
+class TestLeakContract:
+    @pytest.mark.parametrize("leak", [-0.1, 1.5, np.nan, np.inf])
+    def test_out_of_range_leak_is_rejected(self, leak, tmp_path):
+        rng = np.random.default_rng(25)
+        with pytest.raises(ValueError, match="leak"):
+            init_dense([2, 4, 1], rng, leak=leak)
+        with pytest.raises(ValueError, match="leak"):
+            DenseNet([np.zeros((4, 2)), np.zeros((1, 4))],
+                     [np.zeros(4), np.zeros(1)], leak)
+        path = tmp_path / "net.json"
+        save_net(init_dense([2, 4, 1], rng), path)
+        doc = json.loads(path.read_text())
+        doc["leak"] = leak
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="leak"):
+            load_net(path)
+
+    @pytest.mark.parametrize("leak", [0, 0.0, 0.01, 0.2, 0.5, 1.0])
+    def test_range_ends_are_accepted(self, leak):
+        net = init_dense([2, 4, 1], np.random.default_rng(26), leak=leak)
+        assert net.leak == leak
 
 
 class TestGradcheckHelpers:

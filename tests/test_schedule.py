@@ -81,7 +81,32 @@ class TestBuildSchedule:
             s.betas[1] = 0.5
 
 
+    def test_coefficient_tables(self):
+        s = build_schedule(sigma=0.3)
+        a = s.alpha_bars.astype(np.float64)
+        assert np.array_equal(s.keep, np.sqrt(a))
+        assert np.array_equal(s.noise, np.sqrt(1.0 - a) * 0.3)
+        assert s.keep.dtype == s.noise.dtype == np.float64
+        assert s.keep[0] == 1.0 and s.noise[0] == 0.0
+        for table in (s.keep, s.noise):
+            with pytest.raises(ValueError):
+                table[1] = 0.0
+
+
 class TestDiffuse:
+    def test_matches_textbook_formula_bitwise(self):
+        # the formula as it reads, with the longdouble table cast per call
+        s = build_schedule()
+        rng = np.random.default_rng(8)
+        x, eps = rng.standard_normal((64, 2)), rng.standard_normal((64, 2))
+        t = rng.integers(0, s.t_max_cap + 1, size=64)
+        a = s.alpha_bars[t].astype(np.float64)[:, None]
+        want = np.sqrt(a) * x + np.sqrt(1.0 - a) * s.sigma * eps
+        assert np.array_equal(diffuse(x, t, eps, s), want)
+        a0 = s.alpha_bars[417].astype(np.float64)
+        assert np.array_equal(diffuse(x, np.int64(417), eps, s),
+                              np.sqrt(a0) * x + np.sqrt(1.0 - a0) * s.sigma * eps)
+
     def test_level_zero_is_identity(self):
         s = build_schedule()
         rng = np.random.default_rng(0)

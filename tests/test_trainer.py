@@ -341,6 +341,19 @@ class TestInitValidation:
         with pytest.raises(ValueError):
             init_train_state(tiny_data(), tiny_config(**kw))
 
+    @pytest.mark.parametrize("kw", [
+        dict(update_interval=0), dict(t_min=0), dict(t_min=10, t_max=9),
+        dict(c_step=0), dict(mode="greedy"), dict(d_target=1.5),
+        dict(d_target=float("nan")),
+    ])
+    @pytest.mark.parametrize("diffusion", [True, False])
+    def test_policy_fields_are_checked_for_both_arms(self, kw, diffusion):
+        cfg = tiny_config(diffusion_enabled=diffusion, **kw)
+        with pytest.raises(ValueError):
+            cfg.validate()
+        with pytest.raises(ValueError):
+            init_train_state(tiny_data(), cfg)
+
     def test_lr_d_defaults_to_lr(self):
         state = init_train_state(tiny_data(), tiny_config(lr=3e-4))
         assert state.opt_g.lr == state.opt_d.lr == 3e-4
