@@ -19,8 +19,8 @@ from .data import (CoverageReport, GaussGrid, coverage, grid_25, load_csv,
                    sample_grid, save_csv)
 from .errors import DataError, NumericError
 from .net import (AdamState, DenseNet, ForwardCache, adam_step, backward,
-                  cond_input, forward, init_dense, load_net, parameters,
-                  save_net)
+                  cond_input, forward, init_dense, load_net, param_views,
+                  parameters, save_net)
 from .schedule import DiffusionSchedule, build_schedule, diffuse, diffuse_chain
 from .trainer import (GanConfig, TrainTrace, d_loss, g_loss, generate,
                       init_train_state, train, train_step)
@@ -33,6 +33,7 @@ __all__ = [
     "TimestepPolicy", "init_policy", "level_weights", "resample_levels",
     "draw_t", "observe_d", "update_t",
     "DenseNet", "ForwardCache", "AdamState", "init_dense", "parameters",
+    "param_views",
     "forward", "backward", "adam_step", "cond_input", "save_net", "load_net",
     "GanConfig", "TrainTrace", "d_loss", "g_loss", "train", "train_step",
     "init_train_state", "generate",

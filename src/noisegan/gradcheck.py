@@ -9,6 +9,10 @@ Two kinds of check:
   the noising map at level t, the level feature, the discriminator and
   softplus, differentiated with respect to the generator parameters.
 
+Finite differences nudge one entry of ``net.flat`` in place and put it
+back, and the analytic side is ``backward``'s flat gradient vector, so
+both index the same parameter coordinates.
+
 FD validity near the leaky-ReLU kink is handled by redrawing inputs
 until every pre-activation in play clears a margin much larger than any
 shift a +-h parameter nudge can cause; the margin is a property of the
@@ -34,16 +38,15 @@ SMALL_SIZES = ([2, 8, 8, 1], [3, 8, 8, 1], [2, 16, 2])
 
 
 def param_vector(net: DenseNet) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in parameters(net)])
+    return net.flat.copy()
 
 
 def set_param_vector(net: DenseNet, vec: np.ndarray) -> None:
-    offset = 0
-    for p in parameters(net):
-        p[...] = vec[offset:offset + p.size].reshape(p.shape)
-        offset += p.size
-    if offset != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match net ({offset})")
+    vec = np.asarray(vec)
+    if vec.shape != net.flat.shape:
+        raise ValueError(f"vector of shape {vec.shape} does not match net "
+                         f"({net.flat.size},)")
+    net.flat[...] = vec
 
 
 def random_net(sizes, rng: np.random.Generator, scale: float = 0.5) -> DenseNet:
@@ -72,20 +75,20 @@ def pick_coords(net: DenseNet, rng: np.random.Generator, per_layer: int):
 
 
 def fd_on_coords(loss_fn, net: DenseNet, coords, h: float = 1e-5) -> np.ndarray:
-    """Central differences of ``loss_fn()`` along the given coordinates."""
-    base = param_vector(net)
+    """Central differences of ``loss_fn()`` along the given coordinates of
+    ``net.flat``, nudging one entry at a time in place and restoring it."""
+    flat = net.flat
     out = np.empty(len(coords))
-    work = base.copy()
     for j, c in enumerate(coords):
-        work[c] = base[c] + h
-        set_param_vector(net, work)
-        up = loss_fn()
-        work[c] = base[c] - h
-        set_param_vector(net, work)
-        down = loss_fn()
-        work[c] = base[c]
+        keep = flat[c]
+        try:
+            flat[c] = keep + h
+            up = loss_fn()
+            flat[c] = keep - h
+            down = loss_fn()
+        finally:
+            flat[c] = keep
         out[j] = (up - down) / (2.0 * h)
-    set_param_vector(net, base)
     return out
 
 
@@ -107,8 +110,7 @@ def check_isolated(sizes, seed: int, n: int = 8, per_layer: int = 64,
         raise RuntimeError("could not draw a batch clear of activation kinks")
     coefs = rng.uniform(-1.0, 1.0, out.shape)
 
-    grads, x_grad = backward(net, cache, coefs)
-    analytic = np.concatenate([g.ravel() for g in grads])
+    analytic, x_grad = backward(net, cache, coefs)
     coords = pick_coords(net, rng, per_layer)
     fd = fd_on_coords(lambda: float(np.sum(coefs * forward(net, x, cache=False)[0])),
                       net, coords, h)
@@ -157,8 +159,7 @@ def check_gen_path(schedule: DiffusionSchedule, t: int, seed: int, n: int = 8,
     x, gcache, logits, dcache = run(with_cache=True)
     _, in_grad = backward(disc, dcache, -sigmoid(-logits) / n, param_grads=False)
     keep = schedule.keep[t_arr]
-    ggrads, _ = backward(gen, gcache, in_grad[:, :GEN_SIZES[-1]] * keep[:, None])
-    analytic = np.concatenate([g.ravel() for g in ggrads])
+    analytic, _ = backward(gen, gcache, in_grad[:, :GEN_SIZES[-1]] * keep[:, None])
 
     coords = pick_coords(gen, rng, per_layer)
     fd = fd_on_coords(run, gen, coords, h)

@@ -17,9 +17,15 @@ the only leaks a net accepts), so ``z * s`` equals
 and nans included.  ``backward`` multiplies by the cached slopes instead
 of recomputing them.
 
-Parameters are exposed as the flat list ``[W0, b0, W1, b1, ...]`` by
-``parameters``; gradients from ``backward`` and the moment lists in
-``AdamState`` follow the same order.
+Each net keeps all its parameters in one contiguous float64 vector
+``net.flat``, laid out ``W0, b0, W1, b1, ...`` (each weight row-major);
+``net.weights[i]`` and ``net.biases[i]`` are views into it, and the
+two tuples cannot be rebound.  ``param_views(net, vec)`` splits any
+vector with this layout into per-array views, and ``parameters(net)`` is
+``param_views(net, net.flat)``.  ``backward`` returns its parameter
+gradients as one fresh vector with the same layout, ``AdamState`` keeps
+its moments as flat vectors too, so ``adam_step`` is one pass of the
+textbook operations over the whole net.
 """
 
 from __future__ import annotations
@@ -30,15 +36,62 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+_BOUND = ("weights", "biases", "flat")   # DenseNet attributes that view flat
+
+
 @dataclass
 class DenseNet:
-    weights: list    # [np.ndarray (fan_out, fan_in), ...]
-    biases: list     # [np.ndarray (fan_out,), ...]
+    """A dense net whose parameters live in the one vector ``flat``.
+
+    The arrays passed in are copied into ``flat``; afterwards
+    ``weights`` and ``biases`` are tuples of views into it, and
+    rebinding ``weights``, ``biases`` or ``flat`` raises
+    ``AttributeError`` (write into the arrays instead).
+    """
+
+    weights: tuple   # (np.ndarray (fan_out, fan_in), ...) views into flat
+    biases: tuple    # (np.ndarray (fan_out,), ...) views into flat
     leak: float = 0.2
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.leak <= 1.0:
             raise ValueError(f"leak must be in [0, 1], got {self.leak}")
+        weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
+        biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
+        if not weights or len(weights) != len(biases):
+            raise ValueError(f"need one bias per weight and at least one layer, "
+                             f"got {len(weights)} weights, {len(biases)} biases")
+        params = []
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            if w.ndim != 2 or b.shape != (w.shape[0],):
+                raise ValueError(f"layer {i}: weight {w.shape} and bias {b.shape} "
+                                 f"do not form a (fan_out, fan_in), (fan_out,) pair")
+            if i and w.shape[1] != weights[i - 1].shape[0]:
+                raise ValueError(f"layer {i} takes {w.shape[1]} inputs, "
+                                 f"layer {i - 1} gives {weights[i - 1].shape[0]}")
+            params += (w, b)
+        layout, start = [], 0
+        for p in params:
+            layout.append((start, start + p.size, p.shape))
+            start += p.size
+        flat = np.concatenate([p.ravel() for p in params])
+        views = _views(layout, flat)
+        self._layout = tuple(layout)
+        self.weights = tuple(views[0::2])
+        self.biases = tuple(views[1::2])
+        self.flat = flat    # last: from here on the three are bound for good
+
+    def __setattr__(self, name, value):
+        if name in _BOUND and "flat" in self.__dict__:
+            raise AttributeError(f"DenseNet.{name} views net.flat and cannot be "
+                                 f"rebound; assign into the arrays instead")
+        object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__, so the copy
+        # gets its own flat vector with fresh views into it
+        return (DenseNet, (list(self.weights), list(self.biases), self.leak))
 
     @property
     def sizes(self) -> list:
@@ -56,13 +109,18 @@ class ForwardCache:
 
 @dataclass
 class AdamState:
+    """Adam settings and moments; ``m`` and ``v`` are flat vectors laid out
+    like ``net.flat`` (``None`` until the first step)."""
+
     lr: float = 1e-4
     beta1: float = 0.5
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = None
+    v: np.ndarray = None
+    # two scratch vectors of the same size, reused by every step
+    _work: tuple = field(default=None, repr=False, compare=False)
 
 
 def init_dense(sizes, rng: np.random.Generator, leak: float = 0.2) -> DenseNet:
@@ -77,12 +135,25 @@ def init_dense(sizes, rng: np.random.Generator, leak: float = 0.2) -> DenseNet:
     return DenseNet(weights, biases, leak)
 
 
+def _views(layout, vec: np.ndarray) -> list:
+    """Views of ``vec`` cut by a layout of ``(start, stop, shape)`` triples."""
+    return [vec[a:b].reshape(shape) for a, b, shape in layout]
+
+
+def param_views(net: DenseNet, vec: np.ndarray) -> list:
+    """Per-array views of ``vec``, a vector laid out like ``net.flat``:
+    ``[W0, b0, W1, b1, ...]``, each of its parameter's shape.  Writing
+    into a view writes into ``vec``."""
+    if vec.shape != net.flat.shape:
+        raise ValueError(f"vector of shape {vec.shape} does not match the "
+                         f"net's {net.flat.shape}")
+    return _views(net._layout, vec)
+
+
 def parameters(net: DenseNet) -> list:
-    """Parameter arrays in update order: [W0, b0, W1, b1, ...]."""
-    out = []
-    for w, b in zip(net.weights, net.biases):
-        out.extend((w, b))
-    return out
+    """Parameter arrays in update order: [W0, b0, W1, b1, ...], as views
+    into ``net.flat``."""
+    return param_views(net, net.flat)
 
 
 def forward(net: DenseNet, x: np.ndarray, cache: bool = True):
@@ -132,8 +203,9 @@ def backward(net: DenseNet, cache: ForwardCache, out_grad: np.ndarray,
              param_grads: bool = True):
     """Backpropagate ``out_grad`` (same shape as the forward output).
 
-    Returns ``(grads, x_grad)`` where ``grads`` aligns with
-    ``parameters(net)`` and ``x_grad`` is the gradient at the input.
+    Returns ``(grads, x_grad)`` where ``grads`` is one fresh vector
+    laid out like ``net.flat`` (``param_views(net, grads)`` splits it per
+    parameter) and ``x_grad`` is the gradient at the input.
     With ``param_grads=False`` the parameter gradients are not computed
     and ``grads`` is ``None``; ``x_grad`` is the same either way.
     Raises ``ValueError`` on a cache that does not match the net or an
@@ -151,12 +223,15 @@ def backward(net: DenseNet, cache: ForwardCache, out_grad: np.ndarray,
         if h.shape[1] != w.shape[1] or cache.preacts[i].shape[1] != w.shape[0]:
             raise ValueError(f"cache layer {i} does not match this net")
 
-    grads = [None] * (2 * n_layers) if param_grads else None
+    grads = None
+    if param_grads:
+        grads = np.empty(net.flat.size)
+        views = _views(net._layout, grads)
     delta = out_grad
     for i in range(n_layers - 1, -1, -1):
         if param_grads:
-            grads[2 * i] = delta.T @ cache.inputs[i]
-            grads[2 * i + 1] = delta.sum(axis=0)
+            np.matmul(delta.T, cache.inputs[i], out=views[2 * i])
+            np.add.reduce(delta, axis=0, out=views[2 * i + 1])
         x_grad = delta @ net.weights[i]
         if i > 0:
             x_grad *= cache.slopes[i - 1]
@@ -164,42 +239,48 @@ def backward(net: DenseNet, cache: ForwardCache, out_grad: np.ndarray,
     return grads, x_grad
 
 
-def adam_step(net: DenseNet, grads: list, state: AdamState) -> None:
-    """One bias-corrected Adam update, in place.
+def adam_step(net: DenseNet, grads: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update of ``net.flat``, in place.
 
-    update = lr * m_hat / (sqrt(v_hat) + eps); zero gradients leave the
-    parameters unchanged while still advancing the step counter.
+    ``grads`` is a vector laid out like ``net.flat``, as ``backward``
+    returns it.  update = lr * m_hat / (sqrt(v_hat) + eps); zero
+    gradients leave the parameters unchanged while still advancing the
+    step counter.
     """
-    params = parameters(net)
-    if len(grads) != len(params):
-        raise ValueError(f"got {len(grads)} gradients for {len(params)} parameters")
-    if not state.m:
-        state.m = [np.zeros_like(p) for p in params]
-        state.v = [np.zeros_like(p) for p in params]
+    p = net.flat
+    if getattr(grads, "shape", None) != p.shape:
+        raise ValueError(f"gradient vector of shape {getattr(grads, 'shape', None)} "
+                         f"does not match the net's {p.shape}")
+    if state.m is None:
+        state.m = np.zeros_like(p)
+        state.v = np.zeros_like(p)
+        state._work = (np.empty_like(p), np.empty_like(p))
+    elif state.m.shape != p.shape:
+        raise ValueError(f"Adam moments of shape {state.m.shape} belong to "
+                         f"another net than this {p.shape}")
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        # two scratch arrays, same operation order as the textbook
-        # m = b1 m + ((1-b1) g); v = b2 v + ((1-b2) g) g;
-        # p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
-        step = np.multiply(g, 1.0 - b1)
-        m *= b1
-        m += step
-        np.multiply(g, 1.0 - b2, out=step)
-        step *= g
-        v *= b2
-        v += step
-        denom = np.divide(v, bc2)
-        np.sqrt(denom, out=denom)
-        denom += state.eps
-        np.divide(m, bc1, out=step)
-        step *= state.lr
-        step /= denom
-        p -= step
+    m, v, g = state.m, state.v, grads
+    step, denom = state._work
+    # same operation order as the textbook, over the whole net at once:
+    # m = b1 m + ((1-b1) g); v = b2 v + ((1-b2) g) g;
+    # p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+    np.multiply(g, 1.0 - b1, out=step)
+    m *= b1
+    m += step
+    np.multiply(g, 1.0 - b2, out=step)
+    step *= g
+    v *= b2
+    v += step
+    np.divide(v, bc2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    np.divide(m, bc1, out=step)
+    step *= state.lr
+    step /= denom
+    p -= step
 
 
 def cond_input(y: np.ndarray, t, t_norm: int, out: np.ndarray = None) -> np.ndarray:

@@ -25,6 +25,7 @@ levels | eps_real | eps_fake | z2 | levels2 | eps2 | policy redraw.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -75,6 +76,8 @@ class GanConfig:
     t_conditioned: bool = True
 
     def validate(self) -> None:
+        for f in fields(self):
+            _check_type(f, getattr(self, f.name))
         if self.total_steps < 0:
             raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
         if self.batch_size < 1:
@@ -100,6 +103,33 @@ class GanConfig:
         # window every update_interval steps
         check_policy_settings(self.t_min, self.t_max, self.d_target, self.c_step,
                               self.mode, self.update_interval)
+
+
+# declared type -> (accepted types, description): a float field takes ints,
+# no number field takes a bool, and only an optional field takes None
+_KINDS = {
+    "int": ((int, np.integer), "an int"),
+    "float": ((int, float, np.integer, np.floating), "a number"),
+    "bool": ((bool, np.bool_), "true or false"),
+    "str": ((str,), "a string"),
+}
+
+
+def _check_type(f, value) -> None:
+    """Raise ``ValueError`` unless ``value`` has the declared type of the
+    config field ``f`` (checked before any range, so no comparison can
+    hit a wrong type)."""
+    base, _, rest = f.type.partition(" | ")    # annotations are strings here
+    optional = rest == "None"
+    if value is None and optional:
+        return
+    accepted, what = _KINDS[base]
+    # a bool is an int to Python, but not a number here
+    if not isinstance(value, accepted) or (base != "bool" and isinstance(value, bool)):
+        what += " or null" if optional else ""
+        raise ValueError(f"{f.name} must be {what}, got {value!r:.40}")
+    if base == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValueError(f"{f.name} is too large for a float, got {value!r:.40}")
 
 
 def config_from_dict(doc: dict) -> GanConfig:

@@ -15,6 +15,7 @@ noised *real* samples only, so ``r_d`` lives in [-1, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +59,7 @@ def check_policy_settings(t_min, t_max, d_target, c_step, mode,
         raise ValueError(f"update_interval must be >= 1, got {update_interval}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not np.isfinite(d_target) or not (-1.0 <= d_target <= 1.0):
+    if not math.isfinite(d_target) or not (-1.0 <= d_target <= 1.0):
         raise ValueError(f"d_target must be finite in [-1, 1], got {d_target}")
 
 

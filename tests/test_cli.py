@@ -289,6 +289,20 @@ class TestBadInputsExitWithAMessage:
         assert err.startswith("usage error:") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"lr": "fast"}, "lr must be a number"),
+        ({"batch_size": 2.5}, "batch_size must be an int"),
+        ({"diffusion_enabled": "no"}, "diffusion_enabled must be true or false"),
+    ])
+    def test_wrong_typed_config_value(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not out.exists()     # rejected before anything ran
+
 
 class TestMetaAndParser:
     def test_meta_contents(self, tmp_path):

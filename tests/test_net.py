@@ -1,12 +1,15 @@
 """Dense nets: forward, hand-checked backward, Adam, conditioning, checkpoints."""
 
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from noisegan import (AdamState, DenseNet, adam_step, backward, cond_input,
-                      forward, init_dense, load_net, parameters, save_net)
+                      forward, init_dense, load_net, param_views, parameters,
+                      save_net)
 from noisegan.net import leaky_relu
 from noisegan.gradcheck import (check_isolated, fd_on_coords, param_vector,
                                 pick_coords, rel_err, set_param_vector)
@@ -70,7 +73,7 @@ class TestBackward:
         net = tiny_net()
         out, cache = forward(net, np.array([[1.0, 2.0]]))
         grads, x_grad = backward(net, cache, np.array([[1.0]]))
-        gw0, gb0, gw1, gb1 = grads
+        gw0, gb0, gw1, gb1 = param_views(net, grads)
         assert gw1 == pytest.approx(np.array([[-0.2, 3.5]]), rel=1e-15)
         assert gb1 == pytest.approx([1.0], rel=1e-15)
         assert gw0 == pytest.approx(np.array([[0.4, 0.8], [-1.0, -2.0]]), rel=1e-15)
@@ -89,7 +92,9 @@ class TestBackward:
         rng = np.random.default_rng(4)
         net = init_dense([3, 5, 2], rng)
         out, cache = forward(net, rng.standard_normal((7, 3)))
-        grads, _ = backward(net, cache, np.ones_like(out))
+        flat_grads, _ = backward(net, cache, np.ones_like(out))
+        assert flat_grads.shape == net.flat.shape
+        grads = param_views(net, flat_grads)
         params = parameters(net)
         assert len(grads) == len(params)
         assert all(g.shape == p.shape for g, p in zip(grads, params))
@@ -120,7 +125,7 @@ class TestAdam:
         net = init_dense([2, 4, 1], rng)
         before = [p.copy() for p in parameters(net)]
         state = AdamState(lr=0.1)
-        adam_step(net, [np.zeros_like(p) for p in parameters(net)], state)
+        adam_step(net, np.zeros_like(net.flat), state)
         assert state.step == 1
         assert all(np.array_equal(a, b) for a, b in zip(parameters(net), before))
 
@@ -128,7 +133,7 @@ class TestAdam:
         # p=1, g=2, lr=0.1: bias corrections cancel, p' = 1 - 0.1*2/(2+1e-8)
         net = DenseNet([np.array([[1.0]])], [np.array([0.0])])
         state = AdamState(lr=0.1, beta1=0.5, beta2=0.999, eps=1e-8)
-        adam_step(net, [np.array([[2.0]]), np.array([0.0])], state)
+        adam_step(net, np.array([2.0, 0.0]), state)
         assert net.weights[0][0, 0] == pytest.approx(0.9000000005, rel=1e-15, abs=0.0)
 
     def test_matches_reference_recurrence(self):
@@ -147,7 +152,7 @@ class TestAdam:
                 mhat = m[i] / (1 - 0.5 ** k)
                 vhat = v[i] / (1 - 0.999 ** k)
                 ref[i] = ref[i] - 0.01 * mhat / (np.sqrt(vhat) + 1e-8)
-            adam_step(net, grads, state)
+            adam_step(net, np.concatenate([g.ravel() for g in grads]), state)
             for got, want in zip(parameters(net), ref):
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -301,7 +306,7 @@ class TestBitwiseReference:
         g = rng.standard_normal(out.shape)
         grads, x_grad = backward(net, cache, g)
         rgrads, rx_grad = ref_backward(net, inputs, preacts, g)
-        assert all(same_bits(a, b) for a, b in zip(grads, rgrads))
+        assert all(same_bits(a, b) for a, b in zip(param_views(net, grads), rgrads))
         assert same_bits(x_grad, rx_grad)
 
     @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0])
@@ -310,7 +315,8 @@ class TestBitwiseReference:
         rng = np.random.default_rng(21)
         for trial in range(3):
             net = init_dense(sizes, rng, leak=leak)
-            net.biases = [rng.uniform(-0.5, 0.5, b.shape) for b in net.biases]
+            for b in net.biases:
+                b[...] = rng.uniform(-0.5, 0.5, b.shape)
             x = (batch_with_specials(rng, 33, sizes[0]) if trial
                  else rng.standard_normal((33, sizes[0])))
             out, cache = forward(net, x)
@@ -323,7 +329,7 @@ class TestBitwiseReference:
             g = rng.standard_normal(out.shape)
             grads, x_grad = backward(net, cache, g)
             rgrads, rx_grad = ref_backward(net, inputs, preacts, g)
-            assert all(same_bits(a, b) for a, b in zip(grads, rgrads))
+            assert all(same_bits(a, b) for a, b in zip(param_views(net, grads), rgrads))
             assert same_bits(x_grad, rx_grad)
             none, in_grad = backward(net, cache, g, param_grads=False)
             assert none is None
@@ -358,12 +364,12 @@ class TestBitwiseReference:
             if k == 2:
                 grads[0][:] = 0.0
                 grads[1][:] = -0.0
-            adam_step(net, grads, state)
+            adam_step(net, np.concatenate([g.ravel() for g in grads]), state)
             step = ref_adam_step(ref, grads, m, v, step, lr)
             assert state.step == step
             assert all(same_bits(a, b) for a, b in zip(parameters(net), ref))
-            assert all(same_bits(a, b) for a, b in zip(state.m, m))
-            assert all(same_bits(a, b) for a, b in zip(state.v, v))
+            assert all(same_bits(a, b) for a, b in zip(param_views(net, state.m), m))
+            assert all(same_bits(a, b) for a, b in zip(param_views(net, state.v), v))
 
     def test_cond_input_into_slices(self):
         rng = np.random.default_rng(24)
@@ -431,3 +437,127 @@ class TestGradcheckHelpers:
                           net, coords)
         analytic = 2 * param_vector(net)
         assert rel_err(analytic[coords], fd) < 1e-9
+
+
+class TestFlatLayout:
+    """One parameter vector per net: the arrays, gradients and moments view it."""
+
+    def nets(self, tmp_path):
+        rng = np.random.default_rng(27)
+        saved = init_dense([3, 7, 5, 2], rng)
+        path = tmp_path / "net.json"
+        save_net(saved, path)
+        return {"init_dense": init_dense([2, 8, 8, 1], rng), "DenseNet": tiny_net(),
+                "load_net": load_net(path)}
+
+    def test_parameters_view_flat_in_order(self, tmp_path):
+        for how, net in self.nets(tmp_path).items():
+            params = parameters(net)
+            pairs = [a for pair in zip(net.weights, net.biases) for a in pair]
+            assert net.flat.dtype == np.float64 and net.flat.flags.c_contiguous, how
+            assert len(params) == len(pairs) == 2 * len(net.weights), how
+            assert all(np.shares_memory(p, net.flat) for p in params + pairs), how
+            net.flat[...] = np.arange(net.flat.size)
+            assert same_bits(np.concatenate([p.ravel() for p in params]), net.flat), how
+            assert same_bits(np.concatenate([a.ravel() for a in pairs]), net.flat), how
+
+    def test_construction_copies_its_arrays(self):
+        w, b = np.array([[1.0, 2.0]]), np.array([3.0])
+        net = DenseNet([w], [b])
+        w[0, 0] = b[0] = 9.0
+        assert same_bits(net.flat, np.array([1.0, 2.0, 3.0]))
+
+    def test_rebinding_raises(self):
+        net = tiny_net()
+        before = net.flat.copy()
+        with pytest.raises(AttributeError, match="weights"):
+            net.weights = [np.zeros((2, 2)), np.zeros((1, 2))]
+        with pytest.raises(AttributeError, match="biases"):
+            net.biases = [np.zeros(2), np.zeros(1)]
+        with pytest.raises(AttributeError, match="flat"):
+            net.flat = np.zeros(9)
+        with pytest.raises(TypeError):
+            net.weights[0] = np.zeros((2, 2))
+        assert same_bits(net.flat, before)
+        assert all(np.shares_memory(p, net.flat) for p in parameters(net))
+
+    def test_copies_get_their_own_vector(self):
+        net = init_dense([2, 4, 1], np.random.default_rng(28))
+        for other in (copy.copy(net), copy.deepcopy(net),
+                      pickle.loads(pickle.dumps(net))):
+            assert same_bits(other.flat, net.flat)
+            assert not np.shares_memory(other.flat, net.flat)
+            assert all(np.shares_memory(p, other.flat) for p in parameters(other))
+
+    def test_param_views_line_up_with_parameters(self):
+        net = init_dense([3, 5, 4, 2], np.random.default_rng(29))
+        vec = np.random.default_rng(30).standard_normal(net.flat.size)
+        views = param_views(net, vec)
+        params = parameters(net)
+        assert [v.shape for v in views] == [p.shape for p in params]
+        assert all(np.shares_memory(v, vec) for v in views)
+        assert same_bits(np.concatenate([v.ravel() for v in views]), vec)
+        views[2][0, 1] = 42.0
+        assert vec[params[0].size + params[1].size + 1] == 42.0
+        with pytest.raises(ValueError):
+            param_views(net, vec[:-1])
+
+    @pytest.mark.parametrize("weights, biases", [
+        ([], []),
+        ([np.zeros((2, 3))], []),
+        ([np.zeros((2, 3))], [np.zeros(3)]),
+        ([np.zeros(3)], [np.zeros(3)]),
+        ([np.zeros((4, 2)), np.zeros((1, 3))], [np.zeros(4), np.zeros(1)]),
+    ])
+    def test_inconsistent_arrays_are_rejected(self, weights, biases):
+        with pytest.raises(ValueError):
+            DenseNet(weights, biases)
+
+    def test_backward_returns_a_fresh_flat_vector(self):
+        rng = np.random.default_rng(31)
+        net = init_dense([3, 6, 2], rng)
+        out, cache = forward(net, rng.standard_normal((5, 3)))
+        g = rng.standard_normal(out.shape)
+        first, _ = backward(net, cache, g)
+        second, _ = backward(net, cache, g)
+        assert first.shape == net.flat.shape and first.dtype == np.float64
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, net.flat)
+        assert same_bits(first, second)
+
+    def test_adam_moments_are_flat(self):
+        rng = np.random.default_rng(32)
+        net = init_dense([2, 4, 1], rng)
+        state = AdamState(lr=0.01)
+        adam_step(net, rng.standard_normal(net.flat.size), state)
+        assert state.m.shape == state.v.shape == net.flat.shape
+        assert all(np.shares_memory(p, net.flat) for p in parameters(net))
+        other = init_dense([2, 5, 1], rng)
+        with pytest.raises(ValueError, match="another net"):
+            adam_step(other, np.zeros_like(other.flat), state)
+        with pytest.raises(ValueError):
+            adam_step(net, np.zeros(net.flat.size + 1), state)
+
+    def test_fd_on_coords_leaves_flat_bit_identical(self):
+        net = init_dense([2, 8, 8, 1], np.random.default_rng(33))
+        net.flat[3] = -0.0
+        before = net.flat.copy()
+        x = np.random.default_rng(34).standard_normal((6, 2))
+        coords = list(range(net.flat.size))
+        fd_on_coords(lambda: float(forward(net, x, cache=False)[0].sum()),
+                     net, coords, h=1e-3)
+        assert same_bits(net.flat, before)
+
+        calls = []
+
+        def failing():
+            calls.append(net.flat.copy())
+            if len(calls) == 3:
+                raise RuntimeError("loss blew up")
+            return 0.0
+
+        with pytest.raises(RuntimeError):
+            fd_on_coords(failing, net, [3, 5], h=0.5)
+        assert same_bits(net.flat, before)
+        # each call saw exactly one coordinate nudged by +-h
+        assert [np.flatnonzero(c != before).tolist() for c in calls] == [[3], [3], [5]]
