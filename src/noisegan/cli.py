@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -65,22 +68,36 @@ def _fnum(v) -> str:
     return repr(float(v))
 
 
-def _parse_int_list(text: str, name: str):
+def _parse_levels(args, schedule, lowest: int = 0):
+    """The levels of ``--t-list``, each in [lowest, schedule.t_max_cap]."""
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        levels = [int(tok) for tok in args.t_list.split(",") if tok.strip() != ""]
     except ValueError:
-        raise _UsageError(f"{name} must be a comma-separated integer list, got {text!r}")
+        raise _UsageError("--t-list must be a comma-separated integer list, "
+                          f"got {args.t_list!r}") from None
+    if any(t < lowest or t > schedule.t_max_cap for t in levels):
+        raise _UsageError(f"{args.command} requires levels {lowest} <= t <= "
+                          f"{schedule.t_max_cap}, got {args.t_list!r:.80}")
+    return levels
 
 
-def _schedule_from_args(args):
-    return build_schedule(args.t_max_cap, args.beta_start, args.beta_end, args.sigma)
+def _flag_name(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+_SCHEDULE_PARAMS = inspect.signature(build_schedule).parameters
+
+
+def _schedule_params(args) -> dict:
+    """The schedule settings of a run, keyed like ``build_schedule``'s
+    parameters (and so in ``meta.json``)."""
+    return {name: getattr(args, name) for name in _SCHEDULE_PARAMS}
 
 
 def _add_schedule_flags(p):
-    p.add_argument("--t-max-cap", type=int, default=1000)
-    p.add_argument("--beta-start", type=float, default=1e-4)
-    p.add_argument("--beta-end", type=float, default=0.02)
-    p.add_argument("--sigma", type=float, default=0.05)
+    for name, param in _SCHEDULE_PARAMS.items():
+        p.add_argument(_flag_name(name), type=type(param.default),
+                       default=param.default)
 
 
 def _add_common(p):
@@ -90,16 +107,19 @@ def _add_common(p):
 
 # ----------------------------------------------------------------- train
 
-_FLAG_TO_FIELD = {
-    "steps": "total_steps", "batch": "batch_size", "lr": "lr", "lr_d": "lr_d",
-    "lr_decay_to": "lr_decay_to", "lr_decay_to_d": "lr_decay_to_d",
-    "lr_hold_frac": "lr_hold_frac",
-    "hidden": "hidden", "latent_dim": "latent_dim", "sigma": "sigma",
-    "t_max_cap": "t_max_cap", "beta_start": "beta_start", "beta_end": "beta_end",
-    "t_min": "t_min", "t_max": "t_max", "d_target": "d_target",
-    "c_step": "c_step", "mode": "mode", "update_interval": "update_interval",
-    "seed": "seed",
-}
+_FLAG_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _add_config_flags(p):
+    """One flag per ``GanConfig`` field (see its docstring), stored under
+    the field's name; an unset flag stays ``None``."""
+    for f in fields(GanConfig):
+        kw = {k: f.metadata[k] for k in ("help", "choices") if k in f.metadata}
+        if f.type == "bool":
+            kw.update(action="store_const", const=not f.default)
+        else:
+            kw["type"] = _FLAG_TYPES[f.type.split(" | ")[0]]
+        p.add_argument(f.metadata.get("flag", _flag_name(f.name)), dest=f.name, **kw)
 
 
 def _resolve_config(args) -> GanConfig:
@@ -113,14 +133,10 @@ def _resolve_config(args) -> GanConfig:
         if not isinstance(loaded, dict):
             raise DataError(f"config file {args.config}: expected a JSON object")
         doc.update(loaded)
-    for flag, fieldname in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag)
+    for f in fields(GanConfig):
+        value = getattr(args, f.name)
         if value is not None:
-            doc[fieldname] = value
-    if args.no_diffusion:
-        doc["diffusion_enabled"] = False
-    if args.t_ignoring:
-        doc["t_conditioned"] = False
+            doc[f.name] = value
     try:
         cfg = config_from_dict(doc)
     except TypeError as e:
@@ -173,12 +189,12 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- toy-jsd
 
 def cmd_toy_jsd(args) -> int:
-    schedule = _schedule_from_args(args)
+    schedule = build_schedule(**_schedule_params(args))
     os.makedirs(args.out, exist_ok=True)
     if args.theta_steps < 2:
         raise _UsageError("--theta-steps must be >= 2")
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
-    levels = _parse_int_list(args.t_list, "--t-list")
+    levels = _parse_levels(args, schedule)
     rng = _prng(args.seed, 3)
 
     rows, series = [], []
@@ -209,21 +225,16 @@ def cmd_toy_jsd(args) -> int:
     _write_meta(args.out, "toy-jsd", args.seed, {
         "theta_min": args.theta_min, "theta_max": args.theta_max,
         "theta_steps": args.theta_steps, "t_list": levels, "method": args.method,
-        "mc_n": args.mc_n, "tol": args.tol, "sigma": args.sigma,
-        "t_max_cap": args.t_max_cap, "beta_start": args.beta_start,
-        "beta_end": args.beta_end})
+        "mc_n": args.mc_n, "tol": args.tol, **_schedule_params(args)})
     return 0
 
 
 # --------------------------------------------------------------- toy-disc
 
 def cmd_toy_disc(args) -> int:
-    schedule = _schedule_from_args(args)
+    schedule = build_schedule(**_schedule_params(args))
     os.makedirs(args.out, exist_ok=True)
-    levels = _parse_int_list(args.t_list, "--t-list")
-    if any(t < 1 or t > schedule.t_max_cap for t in levels):
-        raise _UsageError(
-            f"toy-disc requires levels 1 <= t <= {schedule.t_max_cap}, got {levels}")
+    levels = _parse_levels(args, schedule, lowest=1)
 
     rows, series = [], []
     for t in levels:
@@ -246,34 +257,32 @@ def cmd_toy_disc(args) -> int:
                    xlabel="y", ylabel="D*(y)")
     _write_meta(args.out, "toy-disc", args.seed, {
         "theta": args.theta, "t_list": levels, "y_steps": args.y_steps,
-        "y_min": args.y_min, "y_max": args.y_max, "sigma": args.sigma,
-        "t_max_cap": args.t_max_cap, "beta_start": args.beta_start,
-        "beta_end": args.beta_end})
+        "y_min": args.y_min, "y_max": args.y_max, **_schedule_params(args)})
     return 0
 
 
 # ----------------------------------------------------------- schedule-dump
 
 def cmd_schedule_dump(args) -> int:
-    schedule = _schedule_from_args(args)
+    schedule = build_schedule(**_schedule_params(args))
     os.makedirs(args.out, exist_ok=True)
     rows = [[t, _fnum(schedule.betas[t]),
              _fnum(float(schedule.alpha_bars[t]))]
             for t in range(1, schedule.t_max_cap + 1)]
     _write_rows(os.path.join(args.out, "schedule.csv"),
                 ("t", "beta", "alpha_bar"), rows)
-    _write_meta(args.out, "schedule-dump", args.seed, {
-        "t_max_cap": args.t_max_cap, "beta_start": args.beta_start,
-        "beta_end": args.beta_end, "sigma": args.sigma})
+    _write_meta(args.out, "schedule-dump", args.seed, _schedule_params(args))
     return 0
 
 
 # ---------------------------------------------------------------- gradcheck
 
 def cmd_gradcheck(args) -> int:
-    schedule = _schedule_from_args(args)
+    schedule = build_schedule(**_schedule_params(args))
+    if not (0.0 < args.h < math.inf):
+        raise _UsageError(f"--h must be finite and > 0, got {args.h}")
     os.makedirs(args.out, exist_ok=True)
-    levels = _parse_int_list(args.t_list, "--t-list")
+    levels = _parse_levels(args, schedule)
     rows, max_iso, max_path = run_suite(schedule, n_seeds=args.seeds,
                                         base_seed=args.seed, h=args.h,
                                         path_levels=tuple(levels))
@@ -283,8 +292,7 @@ def cmd_gradcheck(args) -> int:
                   _fnum(r["max_rel_err"])] for r in rows])
     _write_meta(args.out, "gradcheck", args.seed, {
         "seeds": args.seeds, "h": args.h, "t_list": levels,
-        "sigma": args.sigma, "t_max_cap": args.t_max_cap,
-        "beta_start": args.beta_start, "beta_end": args.beta_end})
+        **_schedule_params(args)})
     overall = max(max_iso, max_path)
     print(f"gradcheck: isolated max rel err {max_iso:.3e}, "
           f"path max rel err {max_path:.3e}")
@@ -297,9 +305,9 @@ def cmd_gradcheck(args) -> int:
 # -------------------------------------------------------------- diffuse-demo
 
 def cmd_diffuse_demo(args) -> int:
-    schedule = _schedule_from_args(args)
+    schedule = build_schedule(**_schedule_params(args))
     os.makedirs(args.out, exist_ok=True)
-    levels = _parse_int_list(args.t_list, "--t-list")
+    levels = _parse_levels(args, schedule)
     if args.data:
         points = load_csv(args.data)
         if points.shape[0] == 0:
@@ -320,8 +328,7 @@ def cmd_diffuse_demo(args) -> int:
                       title="forward noising", xlabel="x1", ylabel="x2")
     _write_meta(args.out, "diffuse-demo", args.seed, {
         "t_list": levels, "data": args.data, "data_n": args.data_n,
-        "sigma": args.sigma, "t_max_cap": args.t_max_cap,
-        "beta_start": args.beta_start, "beta_end": args.beta_end})
+        **_schedule_params(args)})
     return 0
 
 
@@ -333,44 +340,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     p = sub.add_parser("train", help="train a GAN (noising on by default)")
-    _add_common(p)
+    p.add_argument("--out", default="out")
     p.add_argument("--config", help="JSON file of config fields")
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--lr-d", type=float, dest="lr_d",
-                   help="discriminator learning rate (defaults to --lr)")
-    p.add_argument("--lr-decay-to", type=float, dest="lr_decay_to",
-                   help="linearly decay learning rates to this fraction of "
-                        "their start values (default 1.0: constant)")
-    p.add_argument("--lr-decay-to-d", type=float, dest="lr_decay_to_d",
-                   help="separate decay floor for the discriminator "
-                        "(defaults to --lr-decay-to)")
-    p.add_argument("--lr-hold-frac", type=float, dest="lr_hold_frac",
-                   help="fraction of the run to hold learning rates at their "
-                        "start values before the decay ramp (default 0.0)")
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--latent-dim", type=int, dest="latent_dim")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--t-max-cap", type=int, dest="t_max_cap")
-    p.add_argument("--beta-start", type=float, dest="beta_start")
-    p.add_argument("--beta-end", type=float, dest="beta_end")
-    p.add_argument("--t-min", type=int, dest="t_min")
-    p.add_argument("--t-max", type=int, dest="t_max")
-    p.add_argument("--d-target", type=float, dest="d_target")
-    p.add_argument("--c-step", type=int, dest="c_step")
-    p.add_argument("--mode", choices=("uniform", "priority"))
-    p.add_argument("--update-interval", type=int, dest="update_interval")
-    p.add_argument("--no-diffusion", action="store_true")
-    p.add_argument("--t-ignoring", action="store_true",
-                   help="hide the level feature from the discriminator")
+    _add_config_flags(p)
     p.add_argument("--data", help="train on this CSV instead of the 5x5 grid")
     p.add_argument("--data-n", type=int, default=100000, dest="data_n")
     p.add_argument("--sample-n", type=int, default=10000, dest="sample_n")
     p.add_argument("--k-sigma", type=float, default=3.0, dest="k_sigma")
     p.add_argument("--min-count", type=float, default=None, dest="min_count")
     p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=cmd_train, seed=None)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("toy-jsd", help="divergence sweep on the toy pair")
     _add_common(p)

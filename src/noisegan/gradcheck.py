@@ -5,8 +5,10 @@ Two kinds of check:
 * isolated — a random net, a random input batch and a random output
   coefficient matrix R; the scalar is sum(R * forward(x)) so its exact
   gradient is backward(cache, R);
-* path — the full generator objective: latents through the generator,
-  the noising map at level t, the level feature, the discriminator and
+* path — the trainer's own generator objective and gradient
+  (``trainer.generator_loss`` and ``trainer.generator_grads``, the code
+  of the training step's phase II): latents through the generator, the
+  noising map at level t, the level feature, the discriminator and
   softplus, differentiated with respect to the generator parameters.
 
 Finite differences nudge one entry of ``net.flat`` in place and put it
@@ -25,9 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .net import DenseNet, backward, cond_input, forward, parameters
-from .schedule import DiffusionSchedule, diffuse
-from .trainer import g_loss, sigmoid
+from . import trainer
+from .net import DenseNet, backward, forward, parameters
+from .schedule import DiffusionSchedule
 
 _MARGIN = 5e-4
 _MAX_REDRAW = 200
@@ -131,38 +133,31 @@ def check_isolated(sizes, seed: int, n: int = 8, per_layer: int = 64,
 
 
 def check_gen_path(schedule: DiffusionSchedule, t: int, seed: int, n: int = 8,
-                   per_layer: int = 64, h: float = 1e-5) -> float:
-    """Max relative error of generator gradients through noising + critic."""
+                   per_layer: int = 64, h: float = 1e-5,
+                   t_conditioned: bool = True) -> float:
+    """Max relative error of the trainer's generator gradient
+    (``trainer.generator_grads``) against central differences of the
+    trainer's generator objective (``trainer.generator_loss``), noised
+    at level ``t`` on every row."""
     rng = np.random.default_rng(seed)
     gen = random_net(GEN_SIZES, rng)
     disc = random_net(DISC_SIZES, rng)
     t_arr = np.full(n, t, dtype=np.int64)
 
-    def run(with_cache=False):
-        x, gcache = forward(gen, z, cache=with_cache)
-        y = diffuse(x, t_arr, eps, schedule)
-        logits, dcache = forward(disc, cond_input(y, t_arr, schedule.t_max_cap),
-                                 cache=with_cache)
-        if with_cache:
-            return x, gcache, logits, dcache
-        return g_loss(logits)
-
     for _ in range(_MAX_REDRAW):
         z = rng.standard_normal((n, GEN_SIZES[0]))
         eps = rng.standard_normal((n, GEN_SIZES[-1]))
-        _, gcache, _, dcache = run(with_cache=True)
+        _, analytic, (gcache, dcache) = trainer.generator_grads(
+            gen, disc, z, t_arr, eps, schedule, t_conditioned)
         if _clear(gcache.preacts[:-1], dcache.preacts[:-1]):
             break
     else:
         raise RuntimeError("could not draw a batch clear of activation kinks")
 
-    x, gcache, logits, dcache = run(with_cache=True)
-    _, in_grad = backward(disc, dcache, -sigmoid(-logits) / n, param_grads=False)
-    keep = schedule.keep[t_arr]
-    analytic, _ = backward(gen, gcache, in_grad[:, :GEN_SIZES[-1]] * keep[:, None])
-
     coords = pick_coords(gen, rng, per_layer)
-    fd = fd_on_coords(run, gen, coords, h)
+    fd = fd_on_coords(lambda: trainer.generator_loss(gen, disc, z, t_arr, eps, schedule,
+                                                     t_conditioned),
+                      gen, coords, h)
     return rel_err(analytic[coords], fd)
 
 

@@ -14,6 +14,7 @@ mostly so tests can confirm the equivalence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,17 @@ class DiffusionSchedule:
             table.setflags(write=False)
 
 
+def check_schedule_settings(t_max_cap, beta_start, beta_end, sigma) -> None:
+    """Raise ``ValueError`` unless the schedule settings are in range."""
+    if t_max_cap < 1:
+        raise ValueError(f"t_max_cap must be >= 1, got {t_max_cap}")
+    if not (0.0 < beta_start <= beta_end < 1.0):
+        raise ValueError(
+            f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
+    if not (0.0 < sigma < math.inf):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+
+
 def build_schedule(t_max_cap: int = 1000,
                    beta_start: float = 1e-4,
                    beta_end: float = 0.02,
@@ -59,16 +71,9 @@ def build_schedule(t_max_cap: int = 1000,
 
     ``betas`` interpolates linearly from ``beta_start`` at level 1 to
     ``beta_end`` at level ``t_max_cap``.  Raises ``ValueError`` for
-    out-of-range parameters.
+    out-of-range parameters (see ``check_schedule_settings``).
     """
-    if t_max_cap < 1:
-        raise ValueError(f"t_max_cap must be >= 1, got {t_max_cap}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError(
-            f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
-    if not sigma > 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-
+    check_schedule_settings(t_max_cap, beta_start, beta_end, sigma)
     betas = np.zeros(t_max_cap + 1)
     betas[1:] = np.linspace(beta_start, beta_end, t_max_cap)
     alphas = 1.0 - betas.astype(np.longdouble)

@@ -7,7 +7,9 @@ Each step does, in order:
       list, and take one Adam step on the non-saturating loss;
   II. generator update — fresh latents, fresh independent levels, one
       Adam step through the noising map (whose input Jacobian is the
-      per-sample factor sqrt(alpha_bars[t]));
+      per-sample factor sqrt(alpha_bars[t])).  The objective and its
+      gradient are ``generator_loss`` and ``generator_grads``, the
+      functions ``gradcheck`` audits;
   III. every ``update_interval`` steps, close the policy window (move
       the level ceiling, redraw the exploration list) and append a row
       to the trace.
@@ -25,6 +27,7 @@ levels | eps_real | eps_fake | z2 | levels2 | eps2 | policy redraw.
 from __future__ import annotations
 
 import csv
+import math
 import sys
 from dataclasses import dataclass, field, fields, asdict
 
@@ -33,34 +36,36 @@ import numpy as np
 from .errors import NumericError
 from .net import (AdamState, DenseNet, adam_step, backward, cond_input,
                   forward, init_dense)
-from .schedule import DiffusionSchedule, build_schedule, diffuse
-from .tsampler import (TimestepPolicy, check_policy_settings, draw_t, init_policy,
-                       observe_d, update_t)
+from .schedule import (DiffusionSchedule, build_schedule, check_schedule_settings,
+                       diffuse)
+from .tsampler import (MODES, TimestepPolicy, check_policy_settings, draw_t,
+                       init_policy, observe_d, update_t)
 
 
 @dataclass
 class GanConfig:
-    """Hyperparameters; defaults are the grid-of-Gaussians setup."""
+    """Hyperparameters; defaults are the grid-of-Gaussians setup.
 
-    total_steps: int = 20000
-    batch_size: int = 128
+    Each field is a ``train`` flag: ``metadata["flag"]`` or the name with
+    dashes; a bool field's flag sets the opposite of its default.
+    """
+
+    total_steps: int = field(default=20000, metadata={"flag": "--steps"})
+    batch_size: int = field(default=128, metadata={"flag": "--batch"})
     latent_dim: int = 2
     hidden: int = 128
     lr: float = 1e-4
-    lr_d: float | None = None   # discriminator learning rate; None means lr
-    # linear decay of each learning rate to (start * floor) over the run;
-    # 1.0 keeps a rate constant.  lr_decay_to_d is the discriminator's own
-    # floor (None: same as the generator's).  lr_hold_frac delays the ramp:
-    # rates stay at their start values for that fraction of total_steps first
-    lr_decay_to: float = 1.0
-    lr_decay_to_d: float | None = None
-    lr_hold_frac: float = 0.0
+    lr_d: float | None = field(default=None, metadata={
+        "help": "discriminator learning rate (defaults to --lr)"})
+    lr_decay_to: float = field(default=1.0, metadata={
+        "help": "linearly decay learning rates to this fraction of their "
+                "start values over the run (default 1.0: constant)"})
     beta1: float = 0.5
     beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 1
     # noising
-    diffusion_enabled: bool = True
+    diffusion_enabled: bool = field(default=True, metadata={"flag": "--no-diffusion"})
     sigma: float = 0.05
     t_max_cap: int = 1000
     beta_start: float = 1e-4
@@ -70,10 +75,12 @@ class GanConfig:
     t_max: int = 1000
     d_target: float = 0.6
     c_step: int = 2
-    mode: str = "priority"
+    mode: str = field(default="priority", metadata={"choices": MODES})
     update_interval: int = 4
-    # condition the discriminator on t/t_max_cap (False: feature pinned to 0)
-    t_conditioned: bool = True
+    t_conditioned: bool = field(default=True, metadata={
+        "flag": "--t-ignoring",
+        "help": "hide the level feature t/t_max_cap from the discriminator "
+                "(feature pinned to 0)"})
 
     def validate(self) -> None:
         for f in fields(self):
@@ -84,19 +91,20 @@ class GanConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.latent_dim < 1 or self.hidden < 1:
             raise ValueError("latent_dim and hidden must be >= 1")
-        if self.lr < 0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if self.lr_d is not None and self.lr_d < 0:
-            raise ValueError(f"lr_d must be >= 0, got {self.lr_d}")
+        for name in ("lr", "lr_d"):
+            value = getattr(self, name)
+            if value is not None and not (0.0 <= value < math.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not (0.0 <= self.lr_decay_to <= 1.0):
             raise ValueError(
                 f"lr_decay_to must be in [0, 1], got {self.lr_decay_to}")
-        if self.lr_decay_to_d is not None and not (0.0 <= self.lr_decay_to_d <= 1.0):
-            raise ValueError(
-                f"lr_decay_to_d must be in [0, 1], got {self.lr_decay_to_d}")
-        if not (0.0 <= self.lr_hold_frac <= 1.0):
-            raise ValueError(
-                f"lr_hold_frac must be in [0, 1], got {self.lr_hold_frac}")
+        for name in ("beta1", "beta2"):
+            if not (0.0 <= getattr(self, name) < 1.0):
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not (0.0 < self.adam_eps < math.inf):
+            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        check_schedule_settings(self.t_max_cap, self.beta_start, self.beta_end,
+                                self.sigma)
         if not (self.t_max <= self.t_max_cap):
             raise ValueError(f"t_max {self.t_max} exceeds t_max_cap {self.t_max_cap}")
         # checked for both arms: the vanilla arm still closes a trace
@@ -246,27 +254,46 @@ def init_train_state(dataset: np.ndarray, config: GanConfig) -> TrainState:
                       policy, TrainTrace())
 
 
-def _noised_batch(state: TrainState, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    eps = state.rng.standard_normal(x.shape)
-    return diffuse(x, t, eps, state.schedule)
+def _level_feature(t: np.ndarray, t_conditioned: bool) -> np.ndarray:
+    return t if t_conditioned else np.zeros_like(t)
 
 
-def _level_feature(state: TrainState, t: np.ndarray):
-    if state.config.t_conditioned:
-        return t
-    return np.zeros_like(t)
+def _generator_pass(gen, disc, z, t, eps, schedule, t_conditioned, cache):
+    x, gcache = forward(gen, z, cache=cache)
+    y = x if eps is None else diffuse(x, t, eps, schedule)
+    logits, dcache = forward(disc, cond_input(y, _level_feature(t, t_conditioned),
+                                              schedule.t_max_cap), cache=cache)
+    return x, gcache, logits, dcache
 
 
-def lr_factor(step: int, config: GanConfig, floor: float) -> float:
-    """Learning-rate multiplier for the 0-based ``step``: 1.0 through the
-    hold phase, then a linear ramp down to ``floor``."""
-    if floor == 1.0 or config.lr_hold_frac >= 1.0:
-        return 1.0
-    s = step / max(1, config.total_steps)
-    h = config.lr_hold_frac
-    if s <= h:
-        return 1.0
-    return 1.0 + (floor - 1.0) * (s - h) / (1.0 - h)
+def generator_loss(gen: DenseNet, disc: DenseNet, z: np.ndarray, t: np.ndarray,
+                   eps, schedule: DiffusionSchedule, t_conditioned: bool) -> float:
+    """Phase II's objective, keeping no layer caches: ``g_loss`` of the
+    discriminator on the generator's output for latents ``z``, noised at
+    per-sample levels ``t`` with noise ``eps``.  ``eps=None`` is the
+    vanilla arm: the output reaches the discriminator as it is."""
+    return g_loss(_generator_pass(gen, disc, z, t, eps, schedule, t_conditioned,
+                                  cache=False)[2])
+
+
+def generator_grads(gen: DenseNet, disc: DenseNet, z: np.ndarray, t: np.ndarray,
+                    eps, schedule: DiffusionSchedule, t_conditioned: bool):
+    """``generator_loss`` and its gradient with respect to ``gen.flat``.
+
+    The gradient crosses the noising map through its input Jacobian, the
+    per-sample factor ``schedule.keep[t]``.  Returns ``(g_loss, grads,
+    (gen_cache, disc_cache))``; the forward caches let a caller inspect
+    the pre-activations of the pass it differentiated.
+    """
+    x, gcache, logits, dcache = _generator_pass(gen, disc, z, t, eps, schedule,
+                                                t_conditioned, cache=True)
+    _, in_grad = backward(disc, dcache, -sigmoid(-logits) / len(z),
+                          param_grads=False)
+    x_grad = in_grad[:, :x.shape[1]]
+    if eps is not None:
+        x_grad = x_grad * schedule.keep[t][:, None]
+    grads, _ = backward(gen, gcache, x_grad)
+    return g_loss(logits), grads, (gcache, dcache)
 
 
 def train_step(state: TrainState) -> None:
@@ -276,29 +303,27 @@ def train_step(state: TrainState) -> None:
     m = cfg.batch_size
     dim = state.data.shape[1]
 
-    d_floor = cfg.lr_decay_to if cfg.lr_decay_to_d is None else cfg.lr_decay_to_d
-    if cfg.lr_decay_to != 1.0 or d_floor != 1.0:
-        state.opt_g.lr = cfg.lr * lr_factor(state.step, cfg, cfg.lr_decay_to)
-        state.opt_d.lr = ((cfg.lr if cfg.lr_d is None else cfg.lr_d)
-                          * lr_factor(state.step, cfg, d_floor))
+    if cfg.lr_decay_to != 1.0:
+        # linear ramp from 1 at step 0 towards lr_decay_to at the end of the run
+        f = 1.0 + (cfg.lr_decay_to - 1.0) * (state.step / max(1, cfg.total_steps))
+        state.opt_g.lr = cfg.lr * f
+        state.opt_d.lr = (cfg.lr if cfg.lr_d is None else cfg.lr_d) * f
 
     # I. discriminator
     z = rng.standard_normal((m, cfg.latent_dim))
-    idx = rng.integers(0, state.data.shape[0], size=m)
-    real = state.data[idx]
+    real = state.data[rng.integers(0, state.data.shape[0], size=m)]
+    fake, _ = forward(state.gen, z, cache=False)
     if state.policy is not None:
         t = draw_t(state.policy, rng, m)
-        y_real = _noised_batch(state, real, t)
+        real = diffuse(real, t, rng.standard_normal(real.shape), state.schedule)
+        fake = diffuse(fake, t, rng.standard_normal(fake.shape), state.schedule)
     else:
         t = np.zeros(m, dtype=np.int64)
-        y_real = real
-    x_fake, _ = forward(state.gen, z, cache=False)
-    y_fake = _noised_batch(state, x_fake, t) if state.policy is not None else x_fake
 
-    feat = _level_feature(state, t)
+    feat = _level_feature(t, cfg.t_conditioned)
     d_in = np.empty((2 * m, dim + 1))
-    cond_input(y_real, feat, cfg.t_max_cap, out=d_in[:m])
-    cond_input(y_fake, feat, cfg.t_max_cap, out=d_in[m:])
+    cond_input(real, feat, cfg.t_max_cap, out=d_in[:m])
+    cond_input(fake, feat, cfg.t_max_cap, out=d_in[m:])
     logits, dcache = forward(state.disc, d_in)
     r_logits, f_logits = logits[:m], logits[m:]
     dl = d_loss(r_logits, f_logits)
@@ -313,22 +338,14 @@ def train_step(state: TrainState) -> None:
 
     # II. generator
     z2 = rng.standard_normal((m, cfg.latent_dim))
-    x_gen, gcache = forward(state.gen, z2)
     if state.policy is not None:
         t2 = draw_t(state.policy, rng, m)
-        y_gen = _noised_batch(state, x_gen, t2)
+        eps2 = rng.standard_normal((m, dim))
     else:
         t2 = np.zeros(m, dtype=np.int64)
-        y_gen = x_gen
-    logits2, dcache2 = forward(state.disc, cond_input(y_gen, _level_feature(state, t2),
-                                                      cfg.t_max_cap))
-    gl = g_loss(logits2)
-    _, in_grad = backward(state.disc, dcache2, -sigmoid(-logits2) / m,
-                          param_grads=False)
-    x_grad = in_grad[:, :dim]
-    if state.policy is not None:
-        x_grad = x_grad * state.schedule.keep[t2][:, None]
-    ggrads, _ = backward(state.gen, gcache, x_grad)
+        eps2 = None
+    gl, ggrads, _ = generator_grads(state.gen, state.disc, z2, t2, eps2,
+                                    state.schedule, cfg.t_conditioned)
     adam_step(state.gen, ggrads, state.opt_g)
 
     # III. bookkeeping and policy window

@@ -5,14 +5,19 @@ arguments must produce byte-identical CSVs (the determinism contract
 the artifact metadata promises).
 """
 
+import argparse
+import inspect
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from noisegan.cli import main
+from noisegan.cli import _resolve_config, build_parser, main
 from noisegan.data import load_csv
+from noisegan.schedule import build_schedule
+from noisegan.trainer import GanConfig
 
 TRAIN_TINY = ["--steps", "12", "--batch", "8", "--hidden", "8",
               "--latent-dim", "2", "--data-n", "256", "--sample-n", "64"]
@@ -302,6 +307,107 @@ class TestBadInputsExitWithAMessage:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
         assert not out.exists()     # rejected before anything ran
+
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"beta1": 5.0}, "beta1 must be in [0, 1)"),
+        ({"adam_eps": -1.0, "lr": 0.01}, "adam_eps must be finite and > 0"),
+        ({"lr": float("nan")}, "lr must be finite and >= 0"),
+        ({"sigma": -1.0}, "sigma must be finite and > 0"),
+    ])
+    def test_out_of_range_config_value(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run(["train", "--config", str(cfg), "--out", str(out), *TRAIN_TINY]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+        assert not out.exists()     # rejected before anything ran
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gradcheck", "--seeds", "1", "--h", "0"], "--h must be finite and > 0"),
+        (["diffuse-demo", "--data-n", "4", "--t-list", "9223372036854775808"],
+         "0 <= t <= 1000"),
+        (["gradcheck", "--seeds", "1", "--t-list", "-1"], "0 <= t <= 1000"),
+    ])
+    def test_bad_command_values(self, tmp_path, capsys, argv, message):
+        assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and message in err
+
+
+# every GanConfig field, each at a valid value other than its default
+NON_DEFAULT = dict(
+    total_steps=7, batch_size=3, latent_dim=3, hidden=5, lr=0.5, lr_d=0.25,
+    lr_decay_to=0.5, beta1=0.25, beta2=0.5, adam_eps=1e-6, seed=9,
+    diffusion_enabled=False, sigma=0.5, t_max_cap=2000, beta_start=1e-3,
+    beta_end=0.01, t_min=7, t_max=900, d_target=0.5, c_step=3, mode="uniform",
+    update_interval=5, t_conditioned=False)
+# the flag of each field: the field name with dashes, except these
+RENAMED = {"total_steps": "--steps", "batch_size": "--batch",
+           "diffusion_enabled": "--no-diffusion", "t_conditioned": "--t-ignoring"}
+SCHEDULE_COMMANDS = ("toy-jsd", "toy-disc", "schedule-dump", "gradcheck",
+                     "diffuse-demo")
+
+
+def train_flags():
+    """{field name: (flag, takes a value)} of the ``train`` subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: (a.option_strings[0], a.nargs != 0)
+            for a in sub.choices["train"]._actions if a.option_strings}
+
+
+class TestFlagsComeFromTheConfig:
+    def test_no_flags_give_the_default_config(self):
+        args = build_parser().parse_args(["train"])
+        assert _resolve_config(args) == GanConfig()
+
+    @pytest.mark.parametrize("command", SCHEDULE_COMMANDS)
+    def test_schedule_defaults_are_build_schedule_defaults(self, command):
+        args = build_parser().parse_args([command])
+        for name, param in inspect.signature(build_schedule).parameters.items():
+            value = getattr(args, name)
+            assert value == param.default and type(value) is type(param.default)
+
+    def test_flag_names(self):
+        flags = train_flags()
+        for f in fields(GanConfig):
+            assert flags[f.name][0] == RENAMED.get(f.name,
+                                                   "--" + f.name.replace("_", "-"))
+
+    def test_every_field_is_reachable_from_a_flag(self):
+        assert set(NON_DEFAULT) == {f.name for f in fields(GanConfig)}
+        assert all(getattr(GanConfig(), k) != v for k, v in NON_DEFAULT.items())
+        argv = ["train"]
+        for name, (flag, takes_value) in train_flags().items():
+            if name in NON_DEFAULT:
+                argv += [flag, str(NON_DEFAULT[name])] if takes_value else [flag]
+        assert _resolve_config(build_parser().parse_args(argv)) == \
+            GanConfig(**NON_DEFAULT)
+
+    def test_every_field_is_reachable_from_the_config_file(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(NON_DEFAULT))
+        args = build_parser().parse_args(["train", "--config", str(cfg)])
+        assert _resolve_config(args) == GanConfig(**NON_DEFAULT)
+
+    @pytest.mark.parametrize("command, argv", [
+        ("toy-jsd", ["--theta-steps", "2", "--no-svg"]),
+        ("toy-disc", ["--y-steps", "3", "--no-svg"]),
+        ("schedule-dump", []),
+        ("gradcheck", ["--seeds", "0"]),
+        ("diffuse-demo", ["--data-n", "4"]),
+    ])
+    def test_meta_records_the_schedule_settings(self, tmp_path, command, argv):
+        out = tmp_path / "o"
+        if command != "schedule-dump":
+            argv = [*argv, "--t-list", "1"]
+        assert run([command, "--out", str(out), "--t-max-cap", "60", "--sigma", "0.25",
+                    *argv]) == 0
+        params = json.loads((out / "meta.json").read_text())["params"]
+        assert {k: params[k] for k in ("t_max_cap", "beta_start", "beta_end", "sigma")} \
+            == {"t_max_cap": 60, "beta_start": 1e-4, "beta_end": 0.02, "sigma": 0.25}
 
 
 class TestMetaAndParser:

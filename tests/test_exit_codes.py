@@ -1,12 +1,17 @@
-"""Every config, valid or not, ends in a documented outcome.
+"""Every config and every command line ends in a documented outcome.
 
 ``GanConfig.validate`` either accepts a config or raises ``ValueError``
 (``DataError`` is one), whatever the types and values in it; ``train``
 turns that into exit code 1 with a usage message, never a traceback.
+Whole argvs for every subcommand exit 0, 1, 2 or 3.
 """
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 import typing
 from dataclasses import fields
 
@@ -100,3 +105,102 @@ def test_train_config_exit_codes(tmp_path, capsys, doc, code):
     assert "Traceback" not in err
     if code:
         assert err.startswith(("usage error:", "data error:"))
+
+
+# ------------------------------------------------------------ whole argvs
+
+JUNK_TOKEN = st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "1e400", "0x10",
+                              "2.5"])
+
+
+def token(valid):
+    """A flag value: mostly from ``valid``, drawn as a string, else junk
+    (no junk is an int, so a capped size stays capped)."""
+    junk = st.one_of(JUNK_TOKEN, st.floats().map(str))
+    return st.integers(0, 15).flatmap(lambda k: junk if k == 0 else valid.map(str))
+
+
+def small(cap, lowest=0):
+    return token(st.integers(lowest, cap))
+
+
+ANY_INT = token(st.integers(0, 2 ** 70))
+UNIT = token(st.floats(0.0, 1.0))
+RATE = token(st.floats(0.0, 0.05))
+ANY_FLOAT = token(st.floats(-3.0, 3.0))
+LEVELS = st.one_of(
+    st.lists(st.integers(0, 60), max_size=3).map(lambda ls: ",".join(map(str, ls))),
+    st.lists(st.integers(-1, 2 ** 70), max_size=2).map(lambda ls: ",".join(map(str, ls))),
+    JUNK_TOKEN)
+SCHEDULE = {"--t-max-cap": small(2000, 1), "--beta-start": token(st.floats(0.0, 0.01)),
+            "--beta-end": token(st.floats(0.005, 0.05)), "--sigma": UNIT}
+SEED = {"--seed": ANY_INT}
+
+# Per subcommand: flags that are always given (each size is capped, so no
+# example allocates or loops without bound) and flags that may be given;
+# a value of None marks a switch.
+COMMANDS = {
+    "train": ({"--steps": small(4), "--batch": small(8, 1), "--hidden": small(8, 1),
+               "--latent-dim": small(4, 1), "--data-n": small(64),
+               "--sample-n": small(64)},
+              {**SEED, **SCHEDULE, "--lr": RATE, "--lr-d": RATE,
+               "--lr-decay-to": UNIT, "--beta1": UNIT, "--beta2": UNIT,
+               "--adam-eps": RATE, "--t-min": small(60), "--t-max": small(1200),
+               "--d-target": UNIT, "--c-step": small(5),
+               "--update-interval": small(5),
+               "--mode": st.sampled_from(["uniform", "priority", "greedy"]),
+               "--no-diffusion": None, "--t-ignoring": None, "--svg": None,
+               "--k-sigma": ANY_FLOAT, "--min-count": ANY_FLOAT,
+               "--config": st.sampled_from(["ok.json", "bad.json", "junk.json",
+                                            "absent.json"]),
+               "--data": st.sampled_from(["pts.csv", "bad.csv", "absent.csv"])}),
+    "toy-jsd": ({"--theta-steps": small(5, 1), "--mc-n": small(200),
+                 "--t-list": LEVELS},
+                {**SEED, **SCHEDULE, "--theta-min": ANY_FLOAT,
+                 "--theta-max": ANY_FLOAT, "--tol": token(st.floats(0.0, 1e-3)),
+                 "--no-svg": None,
+                 "--method": st.sampled_from(["quadrature", "monte_carlo", "exact"])}),
+    "toy-disc": ({"--y-steps": small(50), "--t-list": LEVELS},
+                 {**SEED, **SCHEDULE, "--theta": ANY_FLOAT, "--y-min": ANY_FLOAT,
+                  "--y-max": ANY_FLOAT, "--no-svg": None}),
+    "schedule-dump": ({"--t-max-cap": small(2000)},
+                      {**SEED, **{k: v for k, v in SCHEDULE.items()
+                                  if k != "--t-max-cap"}}),
+    "gradcheck": ({"--seeds": small(1), "--t-list": LEVELS},
+                  {**SEED, **SCHEDULE, "--h": token(st.floats(0.0, 1e-3))}),
+    "diffuse-demo": ({"--data-n": small(64), "--t-list": LEVELS},
+                     {**SEED, **SCHEDULE, "--svg": None,
+                      "--data": st.sampled_from(["pts.csv", "bad.csv", "absent.csv"])}),
+}
+INPUT_FILES = {"ok.json": '{"hidden": 4, "lr_d": 0.004}', "bad.json": '{"beta1": 5.0}',
+               "junk.json": "{", "pts.csv": "0.5,0.5\n-1.0,2.0\n", "bad.csv": "1,x\n"}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    always, maybe = COMMANDS[command]
+    chosen = dict(always)
+    chosen.update({flag: maybe[flag] for flag in draw(
+        st.lists(st.sampled_from(sorted(maybe)), unique=True, max_size=6))})
+    pairs = [[flag] if value is None else [flag, draw(value)]
+             for flag, value in chosen.items()]
+    extra = draw(st.sampled_from([[]] * 8 + [["--frob"], ["stray"]]))
+    return [command, *(tok for pair in draw(st.permutations(pairs)) for tok in pair),
+            *extra]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argvs())
+def test_every_argv_exits_with_a_documented_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in INPUT_FILES.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        argv = [os.path.join(tmp, tok) if tok in INPUT_FILES or tok.startswith("absent")
+                else tok for tok in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main([*argv, "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue()

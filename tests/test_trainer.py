@@ -89,18 +89,10 @@ def replay_diffusion(dataset, cfg, n_steps):
     rows = []
     win = []
     for step in range(1, n_steps + 1):
-        d_floor = cfg.lr_decay_to if cfg.lr_decay_to_d is None else cfg.lr_decay_to_d
-        if cfg.lr_decay_to != 1.0 or d_floor != 1.0:
-            s = (step - 1) / max(1, cfg.total_steps)
-            h = cfg.lr_hold_frac
-
-            def fac(floor):
-                if floor == 1.0 or h >= 1.0 or s <= h:
-                    return 1.0
-                return 1.0 + (floor - 1.0) * (s - h) / (1.0 - h)
-
-            opt_g.lr = cfg.lr * fac(cfg.lr_decay_to)
-            opt_d.lr = (cfg.lr if cfg.lr_d is None else cfg.lr_d) * fac(d_floor)
+        if cfg.lr_decay_to != 1.0:
+            fac = 1.0 + (cfg.lr_decay_to - 1.0) * ((step - 1) / max(1, cfg.total_steps))
+            opt_g.lr = cfg.lr * fac
+            opt_d.lr = (cfg.lr if cfg.lr_d is None else cfg.lr_d) * fac
         z = rng.standard_normal((m, cfg.latent_dim))
         idx = rng.integers(0, dataset.shape[0], size=m)
         real = dataset[idx]
@@ -178,8 +170,8 @@ class TestReplayOracle:
 
     @pytest.mark.parametrize("kw", [
         dict(lr_d=4e-3, lr_decay_to=0.1),
-        dict(lr_d=4e-3, lr_decay_to=0.2, lr_hold_frac=0.5),
-        dict(lr_d=4e-3, lr_decay_to=0.1, lr_decay_to_d=0.4, lr_hold_frac=0.5),
+        dict(lr_decay_to=0.2),
+        dict(lr_d=4e-3, lr_decay_to=0.0),
     ])
     def test_lr_decay_matches_bitwise(self, kw):
         data = tiny_data()
@@ -333,13 +325,19 @@ class TestInitValidation:
         dict(total_steps=-1), dict(batch_size=0), dict(latent_dim=0),
         dict(hidden=0), dict(lr=-1e-3), dict(lr_d=-1e-3),
         dict(lr_decay_to=-0.1), dict(lr_decay_to=1.5),
-        dict(lr_decay_to_d=-0.1), dict(lr_decay_to_d=1.5),
-        dict(lr_hold_frac=-0.1), dict(lr_hold_frac=1.5),
+        dict(beta1=1.0), dict(beta2=1.0), dict(adam_eps=0.0), dict(lr=float("nan")),
         dict(t_max=60, t_max_cap=50),
+        dict(lr_d=float("inf")), dict(beta1=5.0), dict(beta2=-1.0),
+        dict(adam_eps=-1.0, lr=0.01), dict(adam_eps=float("nan")),
+        dict(sigma=-1.0), dict(sigma=float("inf")),
+        dict(beta_start=0.5, beta_end=0.1), dict(beta_end=1.0),
     ])
     def test_config_validation(self, kw):
+        cfg = tiny_config(**kw)
         with pytest.raises(ValueError):
-            init_train_state(tiny_data(), tiny_config(**kw))
+            cfg.validate()
+        with pytest.raises(ValueError):
+            init_train_state(tiny_data(), cfg)
 
     @pytest.mark.parametrize("kw", [
         dict(update_interval=0), dict(t_min=0), dict(t_min=10, t_max=9),
@@ -370,30 +368,6 @@ class TestInitValidation:
             f = 1.0 + (0.5 - 1.0) * k / 10
             assert lg == pytest.approx(1e-3 * f, rel=1e-15)
             assert ld == pytest.approx(2e-3 * f, rel=1e-15)
-
-    def test_lr_hold_then_ramp(self):
-        cfg = tiny_config(total_steps=10, lr=1e-3, lr_decay_to=0.2,
-                          lr_hold_frac=0.5)
-        state = init_train_state(tiny_data(), cfg)
-        seen = []
-        for _ in range(10):
-            train_step(state)
-            seen.append(state.opt_g.lr)
-        for k, lg in enumerate(seen):
-            s = k / 10
-            f = 1.0 if s <= 0.5 else 1.0 + (0.2 - 1.0) * (s - 0.5) / 0.5
-            assert lg == pytest.approx(1e-3 * f, rel=1e-15)
-        assert seen[0] == seen[5] == 1e-3   # held through the first half
-
-    def test_discriminator_gets_its_own_floor(self):
-        cfg = tiny_config(total_steps=10, lr=1e-3, lr_d=4e-3,
-                          lr_decay_to=0.1, lr_decay_to_d=0.5)
-        state = init_train_state(tiny_data(), cfg)
-        for _ in range(10):
-            train_step(state)
-        # last step ran at the 0-based factor for k=9
-        assert state.opt_g.lr == pytest.approx(1e-3 * (1 - 0.9 * 0.9), rel=1e-15)
-        assert state.opt_d.lr == pytest.approx(4e-3 * (1 - 0.5 * 0.9), rel=1e-15)
 
     def test_lr_d_splits_the_optimizers(self):
         state = init_train_state(tiny_data(), tiny_config(lr=3e-4, lr_d=9e-4))
