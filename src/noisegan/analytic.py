@@ -15,10 +15,15 @@ is smooth in theta, which is the whole point.  This module evaluates it
 by adaptive Gauss-Legendre quadrature or Monte Carlo, exposes the
 pointwise optimal discriminator, and checks the mixture identity
 JSD(joint) = E_t[JSD(conditionals)] on finite cases by enumeration.
+
+The 16-point Gauss-Legendre rule is built once per process, on the
+first quadrature (not at import), and every later call shares its node
+and weight arrays, which are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,9 +115,19 @@ def _tail_mass(mu, std, spans):
     return max(0.0, 1.0 - inside)
 
 
+@functools.cache
+def _gauss_legendre():
+    """The ``_GL_NODES``-point rule on [-1, 1] as read-only (nodes, weights),
+    built on first use and shared by every later call in the process."""
+    x, w = np.polynomial.legendre.leggauss(_GL_NODES)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _integrate(fn, spans, std, tol):
     """Composite Gauss-Legendre over the spans, doubling panels until stable."""
-    base_x, base_w = np.polynomial.legendre.leggauss(_GL_NODES)
+    base_x, base_w = _gauss_legendre()
     prev = None
     n_evals = 0
     # start with panels roughly one std wide so the first pass already resolves
@@ -147,8 +162,11 @@ def jsd_diffused(theta: float, t: int, schedule: DiffusionSchedule,
     the integration spans is accounted and must be negligible.
     ``method="monte_carlo"`` averages the two log-ratio terms over ``n``
     draws per component and reports a standard error; pass ``rng`` for
-    control, default is a fixed seed.
+    control, default is a fixed seed.  Raises ``ValueError`` unless
+    ``tol`` is finite and > 0, whichever the method.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     p = ToyParams.at(theta, t, schedule)
     mu1, mu2 = 0.0, p.a_t * p.theta
     var = p.b_t

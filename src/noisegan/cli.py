@@ -69,12 +69,15 @@ def _fnum(v) -> str:
 
 
 def _parse_levels(args, schedule, lowest: int = 0):
-    """The levels of ``--t-list``, each in [lowest, schedule.t_max_cap]."""
+    """The levels of ``--t-list`` (at least one), each in
+    [lowest, schedule.t_max_cap]."""
     try:
         levels = [int(tok) for tok in args.t_list.split(",") if tok.strip() != ""]
     except ValueError:
         raise _UsageError("--t-list must be a comma-separated integer list, "
                           f"got {args.t_list!r}") from None
+    if not levels:
+        raise _UsageError(f"--t-list must name at least one level, got {args.t_list!r}")
     if any(t < lowest or t > schedule.t_max_cap for t in levels):
         raise _UsageError(f"{args.command} requires levels {lowest} <= t <= "
                           f"{schedule.t_max_cap}, got {args.t_list!r:.80}")
@@ -190,11 +193,13 @@ def cmd_train(args) -> int:
 
 def cmd_toy_jsd(args) -> int:
     schedule = build_schedule(**_schedule_params(args))
-    os.makedirs(args.out, exist_ok=True)
+    if not (0.0 < args.tol < math.inf):
+        raise _UsageError(f"--tol must be finite and > 0, got {args.tol}")
     if args.theta_steps < 2:
         raise _UsageError("--theta-steps must be >= 2")
-    thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     levels = _parse_levels(args, schedule)
+    os.makedirs(args.out, exist_ok=True)
+    thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     rng = _prng(args.seed, 3)
 
     rows, series = [], []
@@ -233,8 +238,10 @@ def cmd_toy_jsd(args) -> int:
 
 def cmd_toy_disc(args) -> int:
     schedule = build_schedule(**_schedule_params(args))
-    os.makedirs(args.out, exist_ok=True)
+    if args.y_steps < 1:
+        raise _UsageError(f"--y-steps must be >= 1, got {args.y_steps}")
     levels = _parse_levels(args, schedule, lowest=1)
+    os.makedirs(args.out, exist_ok=True)
 
     rows, series = [], []
     for t in levels:
@@ -281,8 +288,10 @@ def cmd_gradcheck(args) -> int:
     schedule = build_schedule(**_schedule_params(args))
     if not (0.0 < args.h < math.inf):
         raise _UsageError(f"--h must be finite and > 0, got {args.h}")
-    os.makedirs(args.out, exist_ok=True)
+    if args.seeds < 1:
+        raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
     levels = _parse_levels(args, schedule)
+    os.makedirs(args.out, exist_ok=True)
     rows, max_iso, max_path = run_suite(schedule, n_seeds=args.seeds,
                                         base_seed=args.seed, h=args.h,
                                         path_levels=tuple(levels))
@@ -306,8 +315,8 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_diffuse_demo(args) -> int:
     schedule = build_schedule(**_schedule_params(args))
-    os.makedirs(args.out, exist_ok=True)
     levels = _parse_levels(args, schedule)
+    os.makedirs(args.out, exist_ok=True)
     if args.data:
         points = load_csv(args.data)
         if points.shape[0] == 0:

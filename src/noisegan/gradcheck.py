@@ -166,8 +166,14 @@ def run_suite(schedule: DiffusionSchedule, n_seeds: int = 20, base_seed: int = 0
     """All checks over seeds; returns (rows, max_isolated, max_path).
 
     Rows are dicts with keys check / sizes / seed / t / max_rel_err, in a
-    deterministic order.
+    deterministic order.  Raises ``ValueError`` when ``n_seeds < 1`` or
+    ``path_levels`` is empty, since either would leave a kind of check
+    unrun and its maximum error at a vacuous 0.
     """
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be >= 1, got {n_seeds}")
+    if len(path_levels) == 0:
+        raise ValueError("path_levels must name at least one level")
     rows = []
     max_iso = 0.0
     for sizes in list(SMALL_SIZES) + [GEN_SIZES, DISC_SIZES]:

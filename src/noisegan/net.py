@@ -15,7 +15,15 @@ elsewhere (``leak + (1 - leak)`` rounds to 1.0 for every leak in [0, 1],
 the only leaks a net accepts), so ``z * s`` equals
 ``np.where(z >= 0, z, leak * z)`` bit for bit, signed zeros, infinities
 and nans included.  ``backward`` multiplies by the cached slopes instead
-of recomputing them.
+of recomputing them.  A cache-free ``forward`` with ``leak > 0`` builds
+no slope array: it takes ``h = maximum(z, leak * z)``, two passes
+instead of five.  For a leak in (0, 1], ``leak * z`` is ``z`` scaled
+towards zero, so the larger of the two is ``z`` where ``z >= 0`` and
+``leak * z`` elsewhere, which are the two products ``z * s`` picks.
+Where they tie (signed zeros, infinities, leak 1) both operands carry
+the same bits, and a nan ``z`` gives a nan ``leak * z`` with its bits.
+At ``leak == 0`` this fails, since ``inf * 0`` is nan, so that leak
+keeps ``leaky_relu``.
 
 Each net keeps all its parameters in one contiguous float64 vector
 ``net.flat``, laid out ``W0, b0, W1, b1, ...`` (each weight row-major);
@@ -179,6 +187,10 @@ def forward(net: DenseNet, x: np.ndarray, cache: bool = True):
             kept.preacts.append(z)
         if i == last:
             h = z
+        elif kept is None and net.leak:
+            # no slopes to keep: the two-op form (see the module docstring)
+            h = z * net.leak
+            np.maximum(z, h, out=h)
         else:
             h, s = leaky_relu(z, net.leak)
             if kept is not None:

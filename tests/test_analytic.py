@@ -12,10 +12,15 @@ Independent oracles used here:
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import noisegan
+from noisegan import analytic
 from noisegan.analytic import (LN2, DiscreteJointSpec, JsdEstimate, ToyParams,
                                jsd_diffused, jsd_joint_equality, jsd_original,
                                optimal_discriminator, wasserstein_reference)
@@ -123,6 +128,59 @@ class TestQuadrature:
     def test_method_validation(self):
         with pytest.raises(ValueError, match="method"):
             jsd_diffused(0.5, 200, SCHED, method="simpson")
+
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_validation(self, method, tol):
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            jsd_diffused(0.5, 200, SCHED, method=method, tol=tol)
+
+
+class TestQuadratureRule:
+    """The Gauss-Legendre rule is built once per process, on first use."""
+
+    def test_built_once_across_calls(self, monkeypatch):
+        calls = []
+        real = np.polynomial.legendre.leggauss
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+        analytic._gauss_legendre.cache_clear()
+        try:
+            first = jsd_diffused(0.5, 200, SCHED)
+            second = jsd_diffused(0.1, 800, SCHED)
+        finally:
+            analytic._gauss_legendre.cache_clear()
+        assert calls == [16]
+        assert (first.value, second.value) == (jsd_diffused(0.5, 200, SCHED).value,
+                                               jsd_diffused(0.1, 800, SCHED).value)
+
+    def test_import_builds_no_rule(self):
+        code = ("import numpy as np\n"
+                "calls = []\n"
+                "real = np.polynomial.legendre.leggauss\n"
+                "np.polynomial.legendre.leggauss = lambda n: calls.append(n) or real(n)\n"
+                "import noisegan, noisegan.analytic as a\n"
+                "print(len(calls), a._gauss_legendre.cache_info().currsize)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(noisegan.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout.split() == ["0", "0"]
+
+    def test_rule_is_read_only(self):
+        x, w = analytic._gauss_legendre()
+        assert x.shape == w.shape == (16,)
+        assert not x.flags.writeable and not w.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[...] = 1.0
+        assert analytic._gauss_legendre()[0] is x
 
 
 class TestMonteCarlo:

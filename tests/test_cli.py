@@ -329,11 +329,26 @@ class TestBadInputsExitWithAMessage:
         (["diffuse-demo", "--data-n", "4", "--t-list", "9223372036854775808"],
          "0 <= t <= 1000"),
         (["gradcheck", "--seeds", "1", "--t-list", "-1"], "0 <= t <= 1000"),
+        (["gradcheck", "--seeds", "0"], "--seeds must be >= 1"),
+        (["gradcheck", "--seeds", "-3"], "--seeds must be >= 1"),
+        (["gradcheck", "--seeds", "1", "--t-list", ","], "--t-list must name at least"),
+        (["toy-jsd", "--tol", "0"], "--tol must be finite and > 0"),
+        (["toy-jsd", "--tol", "-1"], "--tol must be finite and > 0"),
+        (["toy-jsd", "--tol", "nan"], "--tol must be finite and > 0"),
+        (["toy-jsd", "--tol", "inf", "--t-list", "0"], "--tol must be finite and > 0"),
+        (["toy-disc", "--t-list", ""], "--t-list must name at least"),
+        (["toy-disc", "--t-list", ",", "--no-svg"], "--t-list must name at least"),
+        (["toy-disc", "--y-steps", "-1"], "--y-steps must be >= 1"),
+        (["toy-disc", "--y-steps", "0", "--no-svg"], "--y-steps must be >= 1"),
+        (["toy-jsd", "--t-list", " , "], "--t-list must name at least"),
+        (["diffuse-demo", "--data-n", "4", "--t-list", ""], "--t-list must name at least"),
     ])
     def test_bad_command_values(self, tmp_path, capsys, argv, message):
-        assert run([*argv, "--out", str(tmp_path / "o")]) == 1
+        out = tmp_path / "o"
+        assert run([*argv, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
+        assert not out.exists()     # rejected before anything ran
 
 
 # every GanConfig field, each at a valid value other than its default
@@ -396,7 +411,7 @@ class TestFlagsComeFromTheConfig:
         ("toy-jsd", ["--theta-steps", "2", "--no-svg"]),
         ("toy-disc", ["--y-steps", "3", "--no-svg"]),
         ("schedule-dump", []),
-        ("gradcheck", ["--seeds", "0"]),
+        ("gradcheck", ["--seeds", "1"]),
         ("diffuse-demo", ["--data-n", "4"]),
     ])
     def test_meta_records_the_schedule_settings(self, tmp_path, command, argv):

@@ -58,3 +58,10 @@ def test_train_step_uses_generator_grads(monkeypatch):
         assert z.shape == (4, 2) and t.shape == (4,) and t_conditioned
         assert (eps is None) == (not diffusion)
     assert calls == []
+
+
+@pytest.mark.parametrize("kw", [dict(n_seeds=0), dict(n_seeds=-1),
+                                dict(path_levels=()), dict(path_levels=[])])
+def test_suite_refuses_to_check_nothing(kw):
+    with pytest.raises(ValueError, match="n_seeds|path_levels"):
+        run_suite(build_schedule(t_max_cap=20), **{"n_seeds": 1, **kw})

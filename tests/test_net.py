@@ -272,12 +272,15 @@ def batch_with_specials(rng, n, width):
     return x
 
 
+LEAKS = [0.0, 0.2, 1.0, 0.5, np.nextafter(0.5, 0.0), 5e-324, 1e-17, 1.0 - 2.0 ** -53,
+         0.7, 0.999]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf and nan inputs
 class TestBitwiseReference:
     """The fast kernels against textbook copies of the same arithmetic."""
 
-    @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0, 0.5, np.nextafter(0.5, 0.0),
-                                      5e-324, 1e-17, 1.0 - 2.0 ** -53, 0.7, 0.999])
+    @pytest.mark.parametrize("leak", LEAKS)
     def test_leaky_relu(self, leak):
         z = np.concatenate([SPECIALS, np.random.default_rng(19).standard_normal(50)])
         h, s = leaky_relu(z, leak)
@@ -308,6 +311,28 @@ class TestBitwiseReference:
         rgrads, rx_grad = ref_backward(net, inputs, preacts, g)
         assert all(same_bits(a, b) for a, b in zip(param_views(net, grads), rgrads))
         assert same_bits(x_grad, rx_grad)
+
+    @pytest.mark.parametrize("leak", LEAKS)
+    def test_cache_free_forward(self, leak):
+        # the two-op activation of a cache-free forward, at every leak:
+        # hidden pre-activations that are exactly the special values (the
+        # positive weights after them carry infinities through to the
+        # output), then random nets on batches laced with them
+        rng = np.random.default_rng(27)
+        width = 6
+        net = DenseNet([np.ones((width, 1)), rng.uniform(0.5, 1, (width, width)),
+                        np.ones((1, width))],
+                       [np.full(width, -0.0), rng.uniform(-1, 1, width), np.zeros(1)],
+                       leak)
+        for x in (SPECIALS[:, None], batch_with_specials(rng, 40, 1)):
+            out, none = forward(net, x, cache=False)
+            assert none is None and same_bits(out, ref_forward(net, x)[0])
+        for sizes in ([3, 16, 16, 2], [2, 128, 128, 1]):
+            net = init_dense(sizes, rng, leak=leak)
+            for b in net.biases:
+                b[...] = rng.uniform(-0.5, 0.5, b.shape)
+            x = batch_with_specials(rng, 33, sizes[0])
+            assert same_bits(forward(net, x, cache=False)[0], ref_forward(net, x)[0])
 
     @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("sizes", [[3, 16, 16, 2], [2, 128, 128, 1], [4, 5]])
