@@ -25,6 +25,15 @@ the same bits, and a nan ``z`` gives a nan ``leak * z`` with its bits.
 At ``leak == 0`` this fails, since ``inf * 0`` is nan, so that leak
 keeps ``leaky_relu``.
 
+A cache-free ``forward`` also takes a stack of batches (..., n,
+fan_in), and ``forward_from`` finishes one from a layer's
+pre-activation.  ``h @ w.T`` on a stack is NumPy's stacked matmul,
+which makes one gemm per copy with the same operands, strides and
+shape as the 2-d call on that copy, and the remaining operations are
+elementwise, so each copy's output is bit for bit its own 2-d
+forward's.  (Folding the copies into the rows of one taller batch is
+not: BLAS may block a taller batch differently and round otherwise.)
+
 Each net keeps all its parameters in one contiguous float64 vector
 ``net.flat``, laid out ``W0, b0, W1, b1, ...`` (each weight row-major);
 ``net.weights[i]`` and ``net.biases[i]`` are views into it, and the
@@ -170,32 +179,59 @@ def forward(net: DenseNet, x: np.ndarray, cache: bool = True):
     Returns ``(out, cache)`` with ``out`` of shape (n, fan_out_last).
     With ``cache=False`` no layer arrays are kept for ``backward`` (a
     caller that only wants the output holds one layer at a time) and the
-    returned cache is ``None``; ``out`` is the same either way.
+    returned cache is ``None``; ``out`` is the same either way.  Only a
+    cache-free forward takes a stack of batches (..., n, fan_in); each
+    copy's output is bit for bit its own 2-d forward's (see the module
+    docstring).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.weights[0].shape[1]:
-        raise ValueError(
-            f"expected batch of shape (n, {net.weights[0].shape[1]}), got {x.shape}")
+    fan_in = net.weights[0].shape[1]
+    if x.ndim < 2 or (cache and x.ndim != 2) or x.shape[-1] != fan_in:
+        raise ValueError(f"expected batch of shape (n, {fan_in})"
+                         + ("" if cache else f" or (..., n, {fan_in})")
+                         + f", got {x.shape}")
     kept = ForwardCache([], [], []) if cache else None
-    h = x
+    return _layers(net, x, 0, kept), kept
+
+
+def forward_from(net: DenseNet, layer: int, z: np.ndarray) -> np.ndarray:
+    """The output of a cache-free ``forward`` in which layer ``layer``
+    has the pre-activation ``z`` ((n, fan_out) or a stack (..., n,
+    fan_out) of that layer): its activation, then the layers after it.
+
+    A caller that already holds a layer's input and changes only that
+    layer's parameters runs just the rest of the net; the output is bit
+    for bit that of ``forward(net, x, cache=False)`` on the input that
+    leads to ``z``.
+    """
+    h = z if layer == len(net.weights) - 1 else _hidden(z, net.leak, None)
+    return _layers(net, h, layer + 1, None)
+
+
+def _layers(net: DenseNet, h: np.ndarray, start: int, kept):
+    """Layers ``start``.. of the net on ``h``; appends to ``kept`` if given."""
     last = len(net.weights) - 1
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = h @ w.T
-        z += b
+    for i in range(start, last + 1):
+        z = h @ net.weights[i].T
+        z += net.biases[i]
         if kept is not None:
             kept.inputs.append(h)
             kept.preacts.append(z)
-        if i == last:
-            h = z
-        elif kept is None and net.leak:
-            # no slopes to keep: the two-op form (see the module docstring)
-            h = z * net.leak
-            np.maximum(z, h, out=h)
-        else:
-            h, s = leaky_relu(z, net.leak)
-            if kept is not None:
-                kept.slopes.append(s)
-    return h, kept
+        h = z if i == last else _hidden(z, net.leak, kept)
+    return h
+
+
+def _hidden(z: np.ndarray, leak: float, kept) -> np.ndarray:
+    """A hidden layer's activation; its slope goes to ``kept`` if given."""
+    if kept is None and leak:
+        # no slopes to keep: the two-op form (see the module docstring)
+        h = z * leak
+        np.maximum(z, h, out=h)
+        return h
+    h, s = leaky_relu(z, leak)
+    if kept is not None:
+        kept.slopes.append(s)
+    return h
 
 
 def leaky_relu(z: np.ndarray, leak: float):
@@ -298,23 +334,25 @@ def adam_step(net: DenseNet, grads: np.ndarray, state: AdamState) -> None:
 def cond_input(y: np.ndarray, t, t_norm: int, out: np.ndarray = None) -> np.ndarray:
     """Append the scalar level feature t / t_norm as an extra column.
 
-    ``t`` is a scalar or one level per row.  With ``out`` (a float64
-    array of shape (n, d + 1), for instance a row slice of a larger
-    batch) the result is written there and ``out`` is returned.
+    ``y`` is an (n, d) batch or a stack (..., n, d) of them; ``t`` is a
+    scalar or one level per row, shape (n,), shared by every copy of a
+    stack.  With ``out`` (a float64 array of ``y``'s shape with d + 1
+    columns, for instance a row slice of a larger batch) the result is
+    written there and ``out`` is returned.
     """
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 2:
-        raise ValueError(f"expected a 2-d batch, got shape {y.shape}")
+    if y.ndim < 2:
+        raise ValueError(f"expected a 2-d batch or a stack of them, got shape {y.shape}")
     if t_norm < 1:
         raise ValueError(f"t_norm must be >= 1, got {t_norm}")
-    shape = (y.shape[0], y.shape[1] + 1)
+    shape = y.shape[:-1] + (y.shape[-1] + 1,)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be a float64 array of shape {shape}, "
                          f"got {out.dtype} {out.shape}")
-    out[:, :-1] = y
-    out[:, -1] = np.asarray(t, dtype=np.float64) / t_norm
+    out[..., :-1] = y
+    out[..., -1] = np.asarray(t, dtype=np.float64) / t_norm
     return out
 
 

@@ -95,19 +95,24 @@ def diffuse(x: np.ndarray, t, eps: np.ndarray,
             schedule: DiffusionSchedule) -> np.ndarray:
     """Corrupt ``x`` at level ``t`` using the closed-form marginal.
 
-    ``x`` is a vector or an (n, d) batch; ``t`` a scalar level or an (n,)
-    array of per-row levels; ``eps`` must match ``x``'s shape.  t = 0
-    returns ``x`` unchanged (the coefficients are exactly 1 and 0).
+    ``x`` is a vector, an (n, d) batch or a stack (..., n, d) of
+    batches; ``t`` a scalar level or an (n,) array of per-row levels,
+    shared by every copy of a stack; ``eps`` must match ``x``'s shape,
+    or for a stack its last two axes (one draw shared by every copy).
+    t = 0 returns ``x`` unchanged (the coefficients are exactly 1 and 0).
+    Every operation is elementwise, so each copy of a stack is noised bit
+    for bit as it would be alone.
     """
     x = np.asarray(x, dtype=np.float64)
     eps = np.asarray(eps, dtype=np.float64)
-    if eps.shape != x.shape:
+    if eps.shape not in (x.shape, x.shape[-2:]):
         raise ValueError(f"eps shape {eps.shape} does not match x shape {x.shape}")
     t = _check_t(t, schedule.t_max_cap)
     if t.ndim == 1:
-        if x.ndim != 2 or t.shape[0] != x.shape[0]:
+        if x.ndim < 2 or t.shape[0] != x.shape[-2]:
             raise ValueError(
-                f"per-row t of shape {t.shape} needs a matching 2-d x, got {x.shape}")
+                f"per-row t of shape {t.shape} needs a matching (..., n, d) x, "
+                f"got {x.shape}")
     elif t.ndim != 0:
         raise ValueError(f"t must be a scalar or 1-d array, got shape {t.shape}")
 

@@ -9,7 +9,9 @@ Each step does, in order:
       Adam step through the noising map (whose input Jacobian is the
       per-sample factor sqrt(alpha_bars[t])).  The objective and its
       gradient are ``generator_loss`` and ``generator_grads``, the
-      functions ``gradcheck`` audits;
+      functions ``gradcheck`` audits (its finite differences evaluate
+      ``generator_objective``, the part of ``generator_loss`` after the
+      generator, on stacks of nudged generator outputs);
   III. every ``update_interval`` steps, close the policy window (move
       the level ceiling, redraw the exploration list) and append a row
       to the trace.
@@ -203,12 +205,19 @@ def d_loss(real_logits: np.ndarray, fake_logits: np.ndarray) -> float:
     return float(softplus(-r).mean() + softplus(f).mean())
 
 
-def g_loss(fake_logits: np.ndarray) -> float:
-    """Non-saturating generator objective: mean softplus(-fake)."""
-    f = np.asarray(fake_logits, dtype=np.float64).ravel()
+def g_loss(fake_logits: np.ndarray):
+    """Non-saturating generator objective: mean softplus(-fake).
+
+    A batch of logits (any shape up to (n, 1)) gives a float.  A stack
+    (..., n, 1) gives one mean per copy, an array of the stack's shape:
+    each is the mean of a contiguous row, bit for bit the float that
+    copy gives alone.
+    """
+    f = np.asarray(fake_logits, dtype=np.float64)
     if f.size == 0:
         raise ValueError("g_loss needs a non-empty logit batch")
-    return float(softplus(-f).mean())
+    means = softplus(-f.reshape(f.shape[:-2] + (-1,))).mean(axis=-1)
+    return float(means) if f.ndim <= 2 else means
 
 
 @dataclass
@@ -258,22 +267,34 @@ def _level_feature(t: np.ndarray, t_conditioned: bool) -> np.ndarray:
     return t if t_conditioned else np.zeros_like(t)
 
 
-def _generator_pass(gen, disc, z, t, eps, schedule, t_conditioned, cache):
-    x, gcache = forward(gen, z, cache=cache)
+def _disc_pass(disc, x, t, eps, schedule, t_conditioned, cache):
+    """``forward(disc, ...)`` on generator output ``x`` (or, cache-free,
+    a stack of outputs), noised at per-row levels ``t`` with noise
+    ``eps`` (``None``: not noised) and given its level feature."""
     y = x if eps is None else diffuse(x, t, eps, schedule)
-    logits, dcache = forward(disc, cond_input(y, _level_feature(t, t_conditioned),
-                                              schedule.t_max_cap), cache=cache)
-    return x, gcache, logits, dcache
+    return forward(disc, cond_input(y, _level_feature(t, t_conditioned),
+                                    schedule.t_max_cap), cache=cache)
+
+
+def generator_objective(disc: DenseNet, x: np.ndarray, t: np.ndarray, eps,
+                        schedule: DiffusionSchedule, t_conditioned: bool):
+    """Phase II's objective as a function of the generator's output:
+    ``g_loss`` of the discriminator on ``x``, noised at per-sample levels
+    ``t`` with noise ``eps``.  ``eps=None`` is the vanilla arm: ``x``
+    reaches the discriminator as it is.  ``x`` is an (n, d) batch, which
+    gives a float, or a stack (..., n, d) of them sharing ``t`` and
+    ``eps``, which gives one loss per copy, each bit for bit that copy's
+    float."""
+    return g_loss(_disc_pass(disc, x, t, eps, schedule, t_conditioned,
+                             cache=False)[0])
 
 
 def generator_loss(gen: DenseNet, disc: DenseNet, z: np.ndarray, t: np.ndarray,
                    eps, schedule: DiffusionSchedule, t_conditioned: bool) -> float:
-    """Phase II's objective, keeping no layer caches: ``g_loss`` of the
-    discriminator on the generator's output for latents ``z``, noised at
-    per-sample levels ``t`` with noise ``eps``.  ``eps=None`` is the
-    vanilla arm: the output reaches the discriminator as it is."""
-    return g_loss(_generator_pass(gen, disc, z, t, eps, schedule, t_conditioned,
-                                  cache=False)[2])
+    """Phase II's objective, keeping no layer caches: ``generator_objective``
+    on the generator's output for latents ``z``."""
+    return generator_objective(disc, forward(gen, z, cache=False)[0], t, eps,
+                               schedule, t_conditioned)
 
 
 def generator_grads(gen: DenseNet, disc: DenseNet, z: np.ndarray, t: np.ndarray,
@@ -285,8 +306,8 @@ def generator_grads(gen: DenseNet, disc: DenseNet, z: np.ndarray, t: np.ndarray,
     (gen_cache, disc_cache))``; the forward caches let a caller inspect
     the pre-activations of the pass it differentiated.
     """
-    x, gcache, logits, dcache = _generator_pass(gen, disc, z, t, eps, schedule,
-                                                t_conditioned, cache=True)
+    x, gcache = forward(gen, z)
+    logits, dcache = _disc_pass(disc, x, t, eps, schedule, t_conditioned, cache=True)
     _, in_grad = backward(disc, dcache, -sigmoid(-logits) / len(z),
                           param_grads=False)
     x_grad = in_grad[:, :x.shape[1]]

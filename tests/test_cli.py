@@ -14,6 +14,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from noisegan import cli
 from noisegan.cli import _resolve_config, build_parser, main
 from noisegan.data import load_csv
 from noisegan.schedule import build_schedule
@@ -243,13 +244,40 @@ class TestGradcheckCommand:
         assert len(lines) > 1
         assert all(float(line.split(",")[4]) <= 1e-5 for line in lines[1:])
 
-    def test_numeric_failure_exit_code(self, tmp_path, capsys):
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow at 1e308
+    @pytest.mark.parametrize("h", ["1e-13", "1e308"])
+    def test_numeric_failure_exit_code(self, tmp_path, capsys, h):
         # a degenerate step size drowns the finite differences in
-        # cancellation noise, so the audit must fail with exit 3
+        # cancellation noise (1e-13) or overflows them to nan (1e308),
+        # so the audit must fail with exit 3
         out = tmp_path / "o"
         assert run(["gradcheck", "--out", str(out), "--seeds", "1",
-                    "--t-list", "0", "--h", "1e-13"]) == 3
+                    "--t-list", "0", "--h", h]) == 3
         assert "FAILED" in capsys.readouterr().err
+        assert (out / "gradcheck.csv").exists()
+
+
+    @pytest.mark.parametrize("iso, path, failed", [
+        (5e-6, 1e-7, "isolated max rel err 5.000e-06 > 1e-06"),
+        (1e-7, 2e-5, "path max rel err 2.000e-05 > 1e-05"),
+        (2e-6, float("nan"), "isolated max rel err 2.000e-06 > 1e-06; "
+                             "path max rel err nan > 1e-05"),
+        (1e-6, 1e-5, None),
+    ])
+    def test_each_kind_has_its_own_bound(self, tmp_path, capsys, monkeypatch,
+                                         iso, path, failed):
+        rows = [{"check": "isolated", "sizes": "2x8x8x1", "seed": 0, "t": "",
+                 "max_rel_err": iso},
+                {"check": "path", "sizes": "gen+disc", "seed": 1000, "t": 0,
+                 "max_rel_err": path}]
+        monkeypatch.setattr(cli, "run_suite", lambda *a, **k: (rows, iso, path))
+        out = tmp_path / "o"
+        rc = run(["gradcheck", "--out", str(out), "--seeds", "1", "--t-list", "0"])
+        err = capsys.readouterr().err
+        if failed is None:
+            assert rc == 0 and err == ""
+        else:
+            assert rc == 3 and err == f"gradcheck FAILED: {failed}\n"
         assert (out / "gradcheck.csv").exists()
 
 
@@ -342,6 +370,15 @@ class TestBadInputsExitWithAMessage:
         (["toy-disc", "--y-steps", "0", "--no-svg"], "--y-steps must be >= 1"),
         (["toy-jsd", "--t-list", " , "], "--t-list must name at least"),
         (["diffuse-demo", "--data-n", "4", "--t-list", ""], "--t-list must name at least"),
+        (["toy-disc", "--theta", "nan", "--no-svg"], "--theta must be finite"),
+        (["toy-disc", "--theta=-inf"], "--theta must be finite"),
+        (["toy-disc", "--y-min", "nan"], "--y-min must be finite"),
+        (["toy-disc", "--y-max", "inf", "--no-svg"], "--y-max must be finite"),
+        (["toy-jsd", "--theta-min", "nan", "--theta-steps", "2", "--t-list", "1"],
+         "--theta-min must be finite"),
+        (["toy-jsd", "--theta-max", "inf"], "--theta-max must be finite"),
+        (["toy-jsd", "--method", "monte_carlo", "--mc-n", "1"], "--mc-n must be >= 2"),
+        (["toy-jsd", "--method", "monte_carlo", "--mc-n", "-5"], "--mc-n must be >= 2"),
     ])
     def test_bad_command_values(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"

@@ -10,9 +10,8 @@ import pytest
 from noisegan import (AdamState, DenseNet, adam_step, backward, cond_input,
                       forward, init_dense, load_net, param_views, parameters,
                       save_net)
-from noisegan.net import leaky_relu
-from noisegan.gradcheck import (check_isolated, fd_on_coords, param_vector,
-                                pick_coords, rel_err, set_param_vector)
+from noisegan.net import forward_from, leaky_relu
+from noisegan.gradcheck import check_isolated, fd_on_coords, pick_coords, rel_err
 
 
 def tiny_net():
@@ -439,15 +438,6 @@ class TestLeakContract:
 
 
 class TestGradcheckHelpers:
-    def test_param_vector_roundtrip(self):
-        rng = np.random.default_rng(12)
-        net = init_dense([2, 4, 1], rng)
-        vec = param_vector(net)
-        set_param_vector(net, vec * 2)
-        assert param_vector(net) == pytest.approx(vec * 2, rel=1e-15)
-        with pytest.raises(ValueError):
-            set_param_vector(net, vec[:-1])
-
     def test_rel_err_floors_small_gradients(self):
         a = np.array([0.0, 1.0])
         f = np.array([1e-11, 1.0 + 1e-7])
@@ -460,7 +450,7 @@ class TestGradcheckHelpers:
         fd = fd_on_coords(lambda: float(sum((p ** 2).sum()
                                             for p in parameters(net))),
                           net, coords)
-        analytic = 2 * param_vector(net)
+        analytic = 2 * net.flat
         assert rel_err(analytic[coords], fd) < 1e-9
 
 
@@ -586,3 +576,59 @@ class TestFlatLayout:
         assert same_bits(net.flat, before)
         # each call saw exactly one coordinate nudged by +-h
         assert [np.flatnonzero(c != before).tolist() for c in calls] == [[3], [3], [5]]
+
+
+class TestStacks:
+    """A stack (..., n, d) of batches gives each copy its own 2-d result."""
+
+    @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("sizes", [[3, 16, 16, 2], [2, 128, 128, 2],
+                                       [3, 128, 128, 1], [4, 5]])
+    def test_cache_free_forward_per_copy(self, leak, sizes):
+        rng = np.random.default_rng(35)
+        net = init_dense(sizes, rng, leak=leak)
+        for b in net.biases:
+            b[...] = rng.uniform(-0.5, 0.5, b.shape)
+        for shape in ((16, 8), (2, 3, 8), (1, 8), (5, 33)):
+            xs = rng.standard_normal(shape + (sizes[0],))
+            out, none = forward(net, xs, cache=False)
+            assert none is None and out.shape == shape + (sizes[-1],)
+            copies = zip(out.reshape(-1, *out.shape[-2:]), xs.reshape(-1, *xs.shape[-2:]))
+            assert all(same_bits(o, forward(net, x, cache=False)[0]) for o, x in copies)
+
+    @pytest.mark.parametrize("sizes", [[3, 16, 16, 2], [2, 128, 128, 2], [4, 5]])
+    def test_forward_from_any_layer(self, sizes):
+        rng = np.random.default_rng(36)
+        net = init_dense(sizes, rng)
+        xs = rng.standard_normal((4, 8, sizes[0]))
+        runs = [forward(net, x) for x in xs]
+        for layer in range(len(net.weights)):
+            zs = np.stack([cache.preacts[layer] for _, cache in runs])
+            outs = forward_from(net, layer, zs)
+            for z, o, (want, _) in zip(zs, outs, runs):
+                assert same_bits(forward_from(net, layer, z), want)
+                assert same_bits(o, want)
+
+    def test_a_stack_needs_a_cache_free_forward(self):
+        net = tiny_net()
+        with pytest.raises(ValueError, match=r"\(n, 2\)"):
+            forward(net, np.zeros((3, 4, 2)))
+        with pytest.raises(ValueError, match=r"\(\.\.\., n, 2\)"):
+            forward(net, np.zeros((3, 4, 5)), cache=False)
+        with pytest.raises(ValueError):
+            forward(net, np.zeros(2), cache=False)
+
+    def test_cond_input_per_copy(self):
+        rng = np.random.default_rng(37)
+        ys = rng.standard_normal((6, 8, 2))
+        t = rng.integers(0, 1001, 8)
+        for level in (t, 250, np.int64(7)):
+            out = cond_input(ys, level, 1000)
+            assert out.shape == (6, 8, 3)
+            assert all(same_bits(o, cond_input(y, level, 1000)) for o, y in zip(out, ys))
+        buf = np.empty((6, 8, 3))
+        assert cond_input(ys, t, 1000, out=buf) is buf
+        with pytest.raises(ValueError):
+            cond_input(ys, t, 1000, out=np.empty((8, 3)))
+        with pytest.raises(ValueError):
+            cond_input(ys, t[:5], 1000)

@@ -173,6 +173,26 @@ class TestDiffuse:
                 want[j] = keep
                 assert col == pytest.approx(want, rel=1e-8, abs=1e-8)
 
+    def test_stack_is_noised_per_copy(self):
+        # a (k, n, d) stack with per-row levels shared by every copy, and
+        # either one shared noise draw or one per copy
+        s = build_schedule()
+        rng = np.random.default_rng(9)
+        xs = rng.standard_normal((5, 8, 2))
+        t = rng.integers(0, s.t_max_cap + 1, size=8)
+        eps = rng.standard_normal((8, 2))
+        each = rng.standard_normal((5, 8, 2))
+        for level in (t, np.int64(417)):
+            shared = diffuse(xs, level, eps, s)
+            own = diffuse(xs, level, each, s)
+            for k, x in enumerate(xs):
+                assert np.array_equal(shared[k], diffuse(x, level, eps, s))
+                assert np.array_equal(own[k], diffuse(x, level, each[k], s))
+        with pytest.raises(ValueError, match="eps shape"):
+            diffuse(xs, t, eps[:7], s)
+        with pytest.raises(ValueError, match="per-row t"):
+            diffuse(xs, t[:5], eps, s)
+
     @pytest.mark.parametrize("t", [-1, 1001])
     def test_rejects_out_of_range_level(self, t):
         s = build_schedule()

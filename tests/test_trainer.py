@@ -49,6 +49,14 @@ class TestLosses:
         assert g_loss([-2.0]) == pytest.approx(2.1269280110429727, rel=1e-15)
         assert g_loss([1.0, -2.0]) == pytest.approx(1.2200948492805979, rel=1e-15)
 
+    def test_g_loss_of_a_stack_is_per_copy(self):
+        logits = np.random.default_rng(3).normal(scale=3.0, size=(2, 3, 128, 1))
+        per_copy = g_loss(logits)
+        assert per_copy.shape == (2, 3)
+        alone = [float(softplus(-f).ravel().mean()) for f in logits.reshape(6, 128, 1)]
+        assert per_copy.ravel().tolist() == alone
+        assert [g_loss(f) for f in logits.reshape(6, 128, 1)] == alone
+
     def test_extreme_logits_do_not_overflow(self):
         # a saturated discriminator: exactly zero loss, no inf/nan
         assert d_loss([800.0], [-800.0]) == 0.0
