@@ -244,15 +244,22 @@ class TestGradcheckCommand:
         assert len(lines) > 1
         assert all(float(line.split(",")[4]) <= 1e-5 for line in lines[1:])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow at 1e308
-    @pytest.mark.parametrize("h", ["1e-13", "1e308"])
-    def test_numeric_failure_exit_code(self, tmp_path, capsys, h):
+    def test_numeric_failure_exit_code(self, tmp_path, capsys):
         # a degenerate step size drowns the finite differences in
-        # cancellation noise (1e-13) or overflows them to nan (1e308),
-        # so the audit must fail with exit 3
+        # cancellation noise, so the audit must fail with exit 3
         out = tmp_path / "o"
         assert run(["gradcheck", "--out", str(out), "--seeds", "1",
-                    "--t-list", "0", "--h", h]) == 3
+                    "--t-list", "0", "--h", "1e-13"]) == 3
+        assert "FAILED" in capsys.readouterr().err
+        assert (out / "gradcheck.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow at 1e308
+    def test_overflowing_step_fails_the_audit(self, tmp_path, capsys):
+        # a huge step size overflows the finite differences to nan, and a
+        # nan error must fail the audit like any other error over its bound
+        out = tmp_path / "o"
+        assert run(["gradcheck", "--out", str(out), "--seeds", "1",
+                    "--t-list", "0", "--h", "1e308"]) == 3
         assert "FAILED" in capsys.readouterr().err
         assert (out / "gradcheck.csv").exists()
 
