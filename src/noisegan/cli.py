@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import DataError, NumericError
 from .gradcheck import ISOLATED_BOUND, PATH_BOUND, run_suite
 from .net import save_net
 from .schedule import build_schedule, diffuse
-from .trainer import GanConfig, config_asdict, config_from_dict, generate, train
+from .trainer import GanConfig, config_from_dict, generate, train
 from .svgplot import line_chart, scatter_chart
 
 
@@ -190,7 +190,7 @@ def cmd_train(args) -> int:
         scatter_chart(os.path.join(args.out, "scatter.svg"), show,
                       title="data vs generated", xlabel="x1", ylabel="x2")
 
-    params = {"config": config_asdict(cfg), "data": args.data,
+    params = {"config": asdict(cfg), "data": args.data,
               "data_n": args.data_n, "sample_n": args.sample_n,
               "k_sigma": args.k_sigma, "min_count": args.min_count}
     _write_meta(args.out, "train", cfg.seed, params)

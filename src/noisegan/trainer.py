@@ -12,9 +12,10 @@ Each step does, in order:
       functions ``gradcheck`` audits (its finite differences evaluate
       ``generator_objective``, the part of ``generator_loss`` after the
       generator, on stacks of nudged generator outputs);
-  III. every ``update_interval`` steps, close the policy window (move
-      the level ceiling, redraw the exploration list) and append a row
-      to the trace.
+  III. add the step's values to the trace's window; every
+      ``update_interval`` steps, close the policy window (move the level
+      ceiling, redraw the exploration list) and the trace's window,
+      which appends a row of the one schema, ``TraceRow``.
 
 With ``diffusion_enabled=False`` the same loop runs with levels pinned
 to 0, no noise draws and no policy, which is exactly a vanilla
@@ -31,7 +32,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -114,6 +115,11 @@ class GanConfig:
         check_policy_settings(self.t_min, self.t_max, self.d_target, self.c_step,
                               self.mode, self.update_interval)
 
+    @property
+    def disc_lr(self) -> float:
+        """The discriminator's learning rate: ``lr_d``, or ``lr`` when unset."""
+        return self.lr if self.lr_d is None else self.lr_d
+
 
 # declared type -> (accepted types, description): a float field takes ints,
 # no number field takes a bool, and only an optional field takes None
@@ -153,37 +159,56 @@ def config_from_dict(doc: dict) -> GanConfig:
 
 @dataclass
 class TraceRow:
+    """One trace row; its fields are the trace's columns, each headed
+    ``metadata["csv"]`` or its name.  A windowed field is the mean of its
+    per-step values over the row's policy window."""
+
     step: int
-    t_ceiling: int
+    t_ceiling: int = field(metadata={"csv": "T"})
     r_d: float
-    d_loss: float
-    g_loss: float
-    d_real_mean: float
-    d_fake_mean: float
+    d_loss: float = field(metadata={"windowed": True})
+    g_loss: float = field(metadata={"windowed": True})
+    d_real_mean: float = field(metadata={"windowed": True})
+    d_fake_mean: float = field(metadata={"windowed": True})
+
+
+# the schema, built once: column name -> field name, and the windowed fields
+_COLUMNS = {f.metadata.get("csv", f.name): f.name for f in fields(TraceRow)}
+_WINDOWED = tuple(f.name for f in fields(TraceRow) if f.metadata.get("windowed"))
 
 
 @dataclass
 class TrainTrace:
-    """One row per policy window, ready to dump as CSV."""
+    """One row per policy window, ready to dump as CSV, and the open
+    window: per step since the last row, a tuple of the windowed fields'
+    values in ``TraceRow`` order."""
 
     rows: list = field(default_factory=list)
+    window: list = field(default_factory=list)
 
-    HEADER = ("step", "T", "r_d", "d_loss", "g_loss", "d_real_mean", "d_fake_mean")
+    HEADER = tuple(_COLUMNS)
 
     def append(self, row: TraceRow) -> None:
         self.rows.append(row)
 
+    def close_window(self, step: int, t_ceiling: int, r_d: float) -> None:
+        """Append the open window's row, if it has steps, and empty it."""
+        if self.window:
+            means = (float(np.mean(col)) for col in zip(*self.window))
+            self.append(TraceRow(step, t_ceiling, float(r_d), **dict(zip(_WINDOWED, means))))
+            self.window.clear()
+
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n")   # a float cell is its repr
             writer.writerow(self.HEADER)
-            for r in self.rows:
-                writer.writerow([r.step, r.t_ceiling, repr(r.r_d), repr(r.d_loss),
-                                 repr(r.g_loss), repr(r.d_real_mean), repr(r.d_fake_mean)])
+            writer.writerows([getattr(r, a) for a in _COLUMNS.values()] for r in self.rows)
 
     def column(self, name: str) -> np.ndarray:
-        attr = {"step": "step", "T": "t_ceiling"}.get(name, name)
-        return np.asarray([getattr(r, attr) for r in self.rows])
+        if name not in _COLUMNS:
+            raise ValueError(f"unknown trace column {name!r}; the columns are "
+                             f"{', '.join(self.HEADER)}")
+        return np.asarray([getattr(r, _COLUMNS[name]) for r in self.rows])
 
 
 def softplus(x):
@@ -233,8 +258,6 @@ class TrainState:
     policy: TimestepPolicy        # None when diffusion is disabled
     trace: TrainTrace
     step: int = 0
-    _win: dict = field(default_factory=lambda: {
-        "d_loss": [], "g_loss": [], "d_real": [], "d_fake": []})
 
 
 def init_train_state(dataset: np.ndarray, config: GanConfig) -> TrainState:
@@ -252,8 +275,7 @@ def init_train_state(dataset: np.ndarray, config: GanConfig) -> TrainState:
     gen = init_dense([config.latent_dim, config.hidden, config.hidden, dim], rng)
     disc = init_dense([dim + 1, config.hidden, config.hidden, 1], rng)
     opt_g = AdamState(config.lr, config.beta1, config.beta2, config.adam_eps)
-    lr_d = config.lr if config.lr_d is None else config.lr_d
-    opt_d = AdamState(lr_d, config.beta1, config.beta2, config.adam_eps)
+    opt_d = AdamState(config.disc_lr, config.beta1, config.beta2, config.adam_eps)
     policy = None
     if config.diffusion_enabled:
         policy = init_policy(rng, t_min=config.t_min, t_max=config.t_max,
@@ -328,7 +350,7 @@ def train_step(state: TrainState) -> None:
         # linear ramp from 1 at step 0 towards lr_decay_to at the end of the run
         f = 1.0 + (cfg.lr_decay_to - 1.0) * (state.step / max(1, cfg.total_steps))
         state.opt_g.lr = cfg.lr * f
-        state.opt_d.lr = (cfg.lr if cfg.lr_d is None else cfg.lr_d) * f
+        state.opt_d.lr = cfg.disc_lr * f
 
     # I. discriminator
     z = rng.standard_normal((m, cfg.latent_dim))
@@ -369,51 +391,33 @@ def train_step(state: TrainState) -> None:
                                     state.schedule, cfg.t_conditioned)
     adam_step(state.gen, ggrads, state.opt_g)
 
-    # III. bookkeeping and policy window
+    # III. trace and policy window; values are TraceRow's windowed fields in order
     state.step += 1
+    policy, trace = state.policy, state.trace
+    values = (dl, gl, float(d_real_probs.mean()), float(d_fake_probs.mean()))
     if not (np.isfinite(dl) and np.isfinite(gl)):
-        state.trace.append(TraceRow(state.step, _ceiling(state), 0.0, dl, gl,
-                                    float(d_real_probs.mean()),
-                                    float(d_fake_probs.mean())))
+        # the diagnostic row: a window of this step alone, at the ceiling it ran at
+        trace.window[:] = [values]
+        trace.close_window(state.step, policy.t_current if policy is not None else 0, 0.0)
         raise NumericError(f"non-finite loss at step {state.step}: "
                            f"d_loss={dl} g_loss={gl}")
-    win = state._win
-    win["d_loss"].append(dl)
-    win["g_loss"].append(gl)
-    win["d_real"].append(float(d_real_probs.mean()))
-    win["d_fake"].append(float(d_fake_probs.mean()))
+    trace.window.append(values)
     if state.step % cfg.update_interval == 0:
-        r_d = update_t(state.policy, rng) if state.policy is not None else 0.0
-        _flush_window(state, r_d)
-
-
-def _ceiling(state: TrainState) -> int:
-    return state.policy.t_current if state.policy is not None else 0
-
-
-def _flush_window(state: TrainState, r_d: float) -> None:
-    win = state._win
-    if not win["d_loss"]:
-        return
-    state.trace.append(TraceRow(
-        state.step, _ceiling(state), float(r_d),
-        float(np.mean(win["d_loss"])), float(np.mean(win["g_loss"])),
-        float(np.mean(win["d_real"])), float(np.mean(win["d_fake"]))))
-    for v in win.values():
-        v.clear()
+        r_d = update_t(policy, rng) if policy is not None else 0.0
+        trace.close_window(state.step, policy.t_current if policy is not None else 0, r_d)
 
 
 def train(dataset: np.ndarray, config: GanConfig):
     """Run the loop; returns ``(generator, discriminator, trace)``.
 
-    A trailing window shorter than ``update_interval`` is flushed with
+    A trailing window shorter than ``update_interval`` is closed with
     the last known r_d = 0 convention so short runs still leave a row.
     """
     state = init_train_state(dataset, config)
     for _ in range(config.total_steps):
         train_step(state)
-    if state._win["d_loss"]:
-        _flush_window(state, 0.0)
+    policy = state.policy
+    state.trace.close_window(state.step, policy.t_current if policy is not None else 0, 0.0)
     return state.gen, state.disc, state.trace
 
 
@@ -422,10 +426,4 @@ def generate(gen: DenseNet, n: int, rng: np.random.Generator) -> np.ndarray:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     latent = gen.weights[0].shape[1]
-    out, _ = forward(gen, rng.standard_normal((n, latent)), cache=False) if n else \
-        (np.zeros((0, gen.weights[-1].shape[0])), None)
-    return out
-
-
-def config_asdict(config: GanConfig) -> dict:
-    return asdict(config)
+    return forward(gen, rng.standard_normal((n, latent)), cache=False)[0]

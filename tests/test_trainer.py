@@ -8,13 +8,16 @@ a different order, scales a gradient differently, or noises real and
 fake batches at different levels, the replay diverges bitwise.
 """
 
+import csv
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
 
 from noisegan.errors import NumericError
 from noisegan.net import AdamState, adam_step, backward, cond_input, forward, init_dense
 from noisegan.schedule import build_schedule, diffuse
-from noisegan.trainer import (GanConfig, TrainTrace, TraceRow, config_asdict,
+from noisegan.trainer import (GanConfig, TrainTrace, TraceRow,
                               config_from_dict, d_loss, g_loss, generate,
                               init_train_state, sigmoid, softplus, train,
                               train_step)
@@ -390,11 +393,16 @@ class TestConfigPlumbing:
 
     def test_asdict_round_trip(self):
         cfg = tiny_config(mode="uniform", sigma=0.25)
-        assert config_from_dict(config_asdict(cfg)) == cfg
+        assert config_from_dict(asdict(cfg)) == cfg
 
     def test_asdict_round_trip_with_lr_d(self):
         cfg = tiny_config(lr_d=7e-4)
-        assert config_from_dict(config_asdict(cfg)) == cfg
+        assert config_from_dict(asdict(cfg)) == cfg
+
+    def test_disc_lr_resolves_lr_d_without_being_a_field(self):
+        assert tiny_config(lr=3e-4).disc_lr == 3e-4
+        assert tiny_config(lr=3e-4, lr_d=9e-4).disc_lr == 9e-4
+        assert "disc_lr" not in asdict(tiny_config())
 
 
 class TestTrace:
@@ -421,6 +429,48 @@ class TestTrace:
         assert np.array_equal(trace.column("step"), [4, 8])
         assert np.array_equal(trace.column("T"), [5, 7])
         assert np.array_equal(trace.column("g_loss"), [2.0, 2.5])
+
+
+CSV_NAMES = [f.metadata.get("csv", f.name) for f in fields(TraceRow)]
+
+
+class TestTraceSchema:
+    """``TraceRow``'s fields are the one source of the trace's columns."""
+
+    def test_csv_header_and_columns_come_from_the_schema(self, tmp_path):
+        _, _, trace = train(tiny_data(), tiny_config(total_steps=7, update_interval=3))
+        trace.write_csv(tmp_path / "trace.csv")
+        with open(tmp_path / "trace.csv", newline="") as fh:
+            header, *cells = list(csv.reader(fh))
+        assert header == CSV_NAMES == list(TrainTrace.HEADER)
+        assert len(cells) == len(trace.rows) == 3
+        for name, col in zip(header, zip(*cells)):
+            assert [float(c) for c in col] == trace.column(name).tolist()
+
+    def test_unknown_column_names_the_columns(self):
+        full = TrainTrace([TraceRow(4, 5, 0.5, 1.0, 2.0, 0.5, 0.5)])
+        for trace in (TrainTrace(), full):
+            for name in ("t_ceiling", "d_real", "nope"):
+                with pytest.raises(ValueError, match=", ".join(CSV_NAMES)):
+                    trace.column(name)
+
+    def test_numeric_error_row_holds_that_steps_values(self, tmp_path):
+        state = init_train_state(tiny_data(), tiny_config(update_interval=4))
+        train_step(state)
+        state.disc.biases[-1][:] = np.inf
+        with pytest.raises(NumericError, match="non-finite loss at step 2"):
+            train_step(state)
+        (row,) = state.trace.rows
+        assert (row.step, row.t_ceiling, row.r_d) == (2, state.policy.t_current, 0.0)
+        # D says 1 to everything at this step alone; a window mean would not
+        assert row.d_real_mean == row.d_fake_mean == 1.0
+        assert not np.isfinite(row.d_loss)
+        for name in CSV_NAMES:      # a number, finite or not, in every column
+            assert np.isfinite(state.trace.column(name)).shape == (1,)
+        state.trace.write_csv(tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
+        assert lines[0].split(",") == CSV_NAMES
+        assert len(lines[1].split(",")) == len(CSV_NAMES)
 
 
 class TestGenerate:
