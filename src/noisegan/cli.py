@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import math
@@ -22,9 +21,9 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .analytic import (LN2, jsd_diffused, jsd_original, optimal_discriminator,
-                       wasserstein_reference)
-from .data import coverage, grid_25, load_csv, sample_grid, save_csv
+from .analytic import (LN2, ToyParams, jsd_diffused, jsd_original,
+                       optimal_discriminator, wasserstein_reference)
+from .data import coverage, grid_25, load_csv, sample_grid, save_csv, write_rows
 from .errors import DataError, NumericError
 from .gradcheck import ISOLATED_BOUND, PATH_BOUND, run_suite
 from .net import save_net
@@ -55,13 +54,6 @@ def _write_meta(out_dir: str, command: str, seed: int, params: dict) -> None:
               newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _fnum(v) -> str:
@@ -148,10 +140,7 @@ def _resolve_config(args) -> GanConfig:
         value = getattr(args, f.name)
         if value is not None:
             doc[f.name] = value
-    try:
-        cfg = config_from_dict(doc)
-    except TypeError as e:
-        raise DataError(f"bad config value: {e}") from None
+    cfg = config_from_dict(doc)
     cfg.validate()
     return cfg
 
@@ -229,8 +218,8 @@ def cmd_toy_jsd(args) -> int:
                 value = est.value
             values.append(value)
         series.append((f"t={t}", list(thetas), values))
-    _write_rows(os.path.join(args.out, "toy_jsd.csv"),
-                ("theta", "t", "jsd", "method", "std_err"), rows)
+    write_rows(os.path.join(args.out, "toy_jsd.csv"), rows,
+               ("theta", "t", "jsd", "method", "std_err"))
 
     if args.svg:
         series.append(("no-noise ceiling", list(thetas), [LN2] * len(thetas)))
@@ -258,10 +247,8 @@ def cmd_toy_disc(args) -> int:
 
     rows, series = [], []
     for t in levels:
-        abar = float(schedule.alpha_bars[t])
-        a_t = np.sqrt(abar)
-        std = np.sqrt((1.0 - abar) * schedule.sigma ** 2)
-        mu2 = a_t * args.theta
+        toy = ToyParams.at(args.theta, t, schedule)
+        mu2, std = toy.a_t * toy.theta, math.sqrt(toy.b_t)
         lo = args.y_min if args.y_min is not None else min(0.0, mu2) - 6.0 * std
         hi = args.y_max if args.y_max is not None else max(0.0, mu2) + 6.0 * std
         ys = np.linspace(lo, hi, args.y_steps)
@@ -269,8 +256,8 @@ def cmd_toy_disc(args) -> int:
         rows.extend([_fnum(y), t, _fnum(args.theta), _fnum(d)]
                     for y, d in zip(ys, d_star))
         series.append((f"t={t}", list(ys), list(d_star)))
-    _write_rows(os.path.join(args.out, "toy_disc.csv"),
-                ("y", "t", "theta", "d_star"), rows)
+    write_rows(os.path.join(args.out, "toy_disc.csv"), rows,
+               ("y", "t", "theta", "d_star"))
     if args.svg:
         line_chart(os.path.join(args.out, "toy_disc.svg"), series,
                    title=f"optimal discriminator, theta={args.theta}",
@@ -289,8 +276,8 @@ def cmd_schedule_dump(args) -> int:
     rows = [[t, _fnum(schedule.betas[t]),
              _fnum(float(schedule.alpha_bars[t]))]
             for t in range(1, schedule.t_max_cap + 1)]
-    _write_rows(os.path.join(args.out, "schedule.csv"),
-                ("t", "beta", "alpha_bar"), rows)
+    write_rows(os.path.join(args.out, "schedule.csv"), rows,
+               ("t", "beta", "alpha_bar"))
     _write_meta(args.out, "schedule-dump", args.seed, _schedule_params(args))
     return 0
 
@@ -308,10 +295,10 @@ def cmd_gradcheck(args) -> int:
     rows, max_iso, max_path = run_suite(schedule, n_seeds=args.seeds,
                                         base_seed=args.seed, h=args.h,
                                         path_levels=tuple(levels))
-    _write_rows(os.path.join(args.out, "gradcheck.csv"),
-                ("check", "sizes", "seed", "t", "max_rel_err"),
-                [[r["check"], r["sizes"], r["seed"], r["t"],
-                  _fnum(r["max_rel_err"])] for r in rows])
+    write_rows(os.path.join(args.out, "gradcheck.csv"),
+               [[r["check"], r["sizes"], r["seed"], r["t"], _fnum(r["max_rel_err"])]
+                for r in rows],
+               ("check", "sizes", "seed", "t", "max_rel_err"))
     _write_meta(args.out, "gradcheck", args.seed, {
         "seeds": args.seeds, "h": args.h, "t_list": levels,
         **_schedule_params(args)})

@@ -107,15 +107,22 @@ def coverage(samples: np.ndarray, grid: GaussGrid, k_sigma: float = 3.0,
     )
 
 
+def write_rows(path, rows, header=None) -> None:
+    """Write ``rows`` as CSV lines, after ``header`` if one is given; a
+    Python float cell is written as its repr, so it round-trips exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
+
+
 def save_csv(points: np.ndarray, path) -> None:
     """Write a headerless two-column CSV; floats use repr for exact round-trip."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must be (n, 2), got {pts.shape}")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for x, y in pts:
-            writer.writerow([repr(float(x)), repr(float(y))])
+    write_rows(path, pts.tolist())
 
 
 def load_csv(path) -> np.ndarray:

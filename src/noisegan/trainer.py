@@ -29,13 +29,13 @@ levels | eps_real | eps_fake | z2 | levels2 | eps2 | policy redraw.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .data import write_rows
 from .errors import NumericError
 from .net import (AdamState, DenseNet, adam_step, backward, cond_input,
                   forward, init_dense)
@@ -60,9 +60,6 @@ class GanConfig:
     lr: float = 1e-4
     lr_d: float | None = field(default=None, metadata={
         "help": "discriminator learning rate (defaults to --lr)"})
-    lr_decay_to: float = field(default=1.0, metadata={
-        "help": "linearly decay learning rates to this fraction of their "
-                "start values over the run (default 1.0: constant)"})
     beta1: float = 0.5
     beta2: float = 0.999
     adam_eps: float = 1e-8
@@ -98,9 +95,6 @@ class GanConfig:
             value = getattr(self, name)
             if value is not None and not (0.0 <= value < math.inf):
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        if not (0.0 <= self.lr_decay_to <= 1.0):
-            raise ValueError(
-                f"lr_decay_to must be in [0, 1], got {self.lr_decay_to}")
         for name in ("beta1", "beta2"):
             if not (0.0 <= getattr(self, name) < 1.0):
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
@@ -199,10 +193,8 @@ class TrainTrace:
             self.window.clear()
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")   # a float cell is its repr
-            writer.writerow(self.HEADER)
-            writer.writerows([getattr(r, a) for a in _COLUMNS.values()] for r in self.rows)
+        write_rows(path, ([getattr(r, a) for a in _COLUMNS.values()] for r in self.rows),
+                   self.HEADER)
 
     def column(self, name: str) -> np.ndarray:
         if name not in _COLUMNS:
@@ -345,12 +337,6 @@ def train_step(state: TrainState) -> None:
     rng = state.rng
     m = cfg.batch_size
     dim = state.data.shape[1]
-
-    if cfg.lr_decay_to != 1.0:
-        # linear ramp from 1 at step 0 towards lr_decay_to at the end of the run
-        f = 1.0 + (cfg.lr_decay_to - 1.0) * (state.step / max(1, cfg.total_steps))
-        state.opt_g.lr = cfg.lr * f
-        state.opt_d.lr = cfg.disc_lr * f
 
     # I. discriminator
     z = rng.standard_normal((m, cfg.latent_dim))

@@ -197,26 +197,29 @@ def test_a9_cli_determinism(tmp_path):
 @pytest.mark.gate
 def test_a8_injected_noise_does_not_leak():
     # Both arms train at the same two-timescale setting (a discriminator
-    # 40x faster than the generator, both rates decayed to 10%) so the
+    # 40x faster than the generator, both rates constant) so the
     # generator's spread settles.  At the default lr_d = lr the
     # discriminator never reaches d_target, the ceiling stays near t_min,
-    # and sigma = 0.5 injects too little noise for a leak to show.
-    two_timescale = dict(lr_d=4e-3, lr_decay_to=0.1)
+    # and sigma = 0.5 injects too little noise for a leak to show.  The
+    # noising arm's floor t_min = 300 keeps the ceiling, for the whole run,
+    # at levels whose injected std (noise[300] is about 0.39) exceeds 0.3.
+    two_timescale = dict(lr_d=4e-3)
     passes_diff, passes_van, details = 0, 0, []
     for seed in (1, 2):
         rng = np.random.default_rng([seed, 0])
         data = np.array([3.0, 3.0]) + 0.3 * rng.standard_normal((50_000, 2))
 
-        cfg = GanConfig(total_steps=10_000, sigma=0.5, seed=seed, **two_timescale)
+        cfg = GanConfig(total_steps=10_000, sigma=0.5, t_min=300, seed=seed,
+                        **two_timescale)
         assert cfg.diffusion_enabled
         gen, _, trace = train(data, cfg)
         std_diff = generate(gen, 10_000, np.random.default_rng([seed, 2])).std(axis=0)
-        # the noise counts as on only if the ceiling reached a level whose
-        # injected std sqrt(1 - alpha_bar) * sigma is at least the data's 0.3
+        # the noise counts as on only if, on every trace window, the
+        # ceiling sat at a level whose injected std is at least the data's 0.3
         sched = build_schedule(cfg.t_max_cap, cfg.beta_start, cfg.beta_end,
                                cfg.sigma)
-        peak_t = int(trace.column("T").max())
-        noise_std = math.sqrt(1.0 - float(sched.alpha_bars[peak_t])) * cfg.sigma
+        ceilings = trace.column("T")
+        on_share = float(np.mean(sched.noise[ceilings] >= 0.3))
 
         pre_noised = data + 0.5 * np.random.default_rng([seed, 4]).standard_normal(
             data.shape)
@@ -226,20 +229,22 @@ def test_a8_injected_noise_does_not_leak():
         std_van = generate(gen_v, 10_000,
                            np.random.default_rng([seed, 2])).std(axis=0)
 
-        if (noise_std >= 0.3 and np.all(std_diff >= 0.24)
+        if (on_share == 1.0 and np.all(std_diff >= 0.24)
                 and np.all(std_diff <= 0.36)):
             passes_diff += 1
         if np.all(std_van > 0.45):
             passes_van += 1
         details.append(f"seed {seed}: noising std "
-                       f"({std_diff[0]:.3f}, {std_diff[1]:.3f}) peak T {peak_t} "
-                       f"injected std {noise_std:.3f}, control std "
+                       f"({std_diff[0]:.3f}, {std_diff[1]:.3f}) T "
+                       f"{ceilings.min()}-{ceilings.max()} injected std >= 0.3 "
+                       f"on {on_share:.1%} of windows, control std "
                        f"({std_van[0]:.3f}, {std_van[1]:.3f})")
     ok = passes_diff >= 1 and passes_van >= 1
     assert _report(
         "A8", ok,
         f"{'; '.join(details)}; noising in [0.24, 0.36] with injected std "
-        f">= 0.3 on {passes_diff}/2 seeds, control > 0.45 on {passes_van}/2")
+        f">= 0.3 on every window on {passes_diff}/2 seeds, control > 0.45 "
+        f"on {passes_van}/2")
 
 
 # -------------------------------------------------------------------- A1

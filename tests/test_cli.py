@@ -359,6 +359,17 @@ class TestBadInputsExitWithAMessage:
         assert err.startswith("usage error:") and message in err
         assert not out.exists()     # rejected before anything ran
 
+    def test_no_learning_rate_decay(self, tmp_path, capsys):
+        # the learning rates are constant: no flag or config key decays them
+        out = tmp_path / "o"
+        assert run(["train", "--lr-decay-to", "0.5", "--out", str(out), *TRAIN_TINY]) == 1
+        assert "unrecognized arguments: --lr-decay-to" in capsys.readouterr().err
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"lr_decay_to": 0.5}))
+        assert run(["train", "--config", str(cfg), "--out", str(out), *TRAIN_TINY]) == 1
+        assert "unknown config keys: lr_decay_to" in capsys.readouterr().err
+        assert not out.exists()     # rejected before anything ran
+
     @pytest.mark.parametrize("argv, message", [
         (["gradcheck", "--seeds", "1", "--h", "0"], "--h must be finite and > 0"),
         (["diffuse-demo", "--data-n", "4", "--t-list", "9223372036854775808"],
@@ -398,10 +409,10 @@ class TestBadInputsExitWithAMessage:
 # every GanConfig field, each at a valid value other than its default
 NON_DEFAULT = dict(
     total_steps=7, batch_size=3, latent_dim=3, hidden=5, lr=0.5, lr_d=0.25,
-    lr_decay_to=0.5, beta1=0.25, beta2=0.5, adam_eps=1e-6, seed=9,
-    diffusion_enabled=False, sigma=0.5, t_max_cap=2000, beta_start=1e-3,
-    beta_end=0.01, t_min=7, t_max=900, d_target=0.5, c_step=3, mode="uniform",
-    update_interval=5, t_conditioned=False)
+    beta1=0.25, beta2=0.5, adam_eps=1e-6, seed=9, diffusion_enabled=False,
+    sigma=0.5, t_max_cap=2000, beta_start=1e-3, beta_end=0.01, t_min=7,
+    t_max=900, d_target=0.5, c_step=3, mode="uniform", update_interval=5,
+    t_conditioned=False)
 # the flag of each field: the field name with dashes, except these
 RENAMED = {"total_steps": "--steps", "batch_size": "--batch",
            "diffusion_enabled": "--no-diffusion", "t_conditioned": "--t-ignoring"}

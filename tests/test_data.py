@@ -179,9 +179,13 @@ class TestCsv:
         assert np.array_equal(back, pts)
 
     def test_headerless_two_columns(self, tmp_path):
+        # each cell is the float's repr: the sign of zero, subnormals and
+        # the largest float survive as text
         path = tmp_path / "pts.csv"
-        save_csv(np.array([[1.5, -2.0]]), path)
-        assert path.read_text() == "1.5,-2.0\n"
+        save_csv(np.array([[1.5, -2.0], [-0.0, 5e-324], [1.7976931348623157e308, 0.1 + 0.2]]),
+                 path)
+        assert path.read_text() == ("1.5,-2.0\n-0.0,5e-324\n"
+                                    "1.7976931348623157e+308,0.30000000000000004\n")
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"

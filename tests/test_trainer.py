@@ -100,10 +100,6 @@ def replay_diffusion(dataset, cfg, n_steps):
     rows = []
     win = []
     for step in range(1, n_steps + 1):
-        if cfg.lr_decay_to != 1.0:
-            fac = 1.0 + (cfg.lr_decay_to - 1.0) * ((step - 1) / max(1, cfg.total_steps))
-            opt_g.lr = cfg.lr * fac
-            opt_d.lr = (cfg.lr if cfg.lr_d is None else cfg.lr_d) * fac
         z = rng.standard_normal((m, cfg.latent_dim))
         idx = rng.integers(0, dataset.shape[0], size=m)
         real = dataset[idx]
@@ -175,20 +171,6 @@ class TestReplayOracle:
         cfg = tiny_config(lr_d=5e-3)
         gen, disc, _ = train(data, cfg)
         rgen, rdisc, _, _ = replay_diffusion(data, tiny_config(lr_d=5e-3),
-                                             cfg.total_steps)
-        assert_nets_identical(gen, rgen)
-        assert_nets_identical(disc, rdisc)
-
-    @pytest.mark.parametrize("kw", [
-        dict(lr_d=4e-3, lr_decay_to=0.1),
-        dict(lr_decay_to=0.2),
-        dict(lr_d=4e-3, lr_decay_to=0.0),
-    ])
-    def test_lr_decay_matches_bitwise(self, kw):
-        data = tiny_data()
-        cfg = tiny_config(**kw)
-        gen, disc, _ = train(data, cfg)
-        rgen, rdisc, _, _ = replay_diffusion(data, tiny_config(**kw),
                                              cfg.total_steps)
         assert_nets_identical(gen, rgen)
         assert_nets_identical(disc, rdisc)
@@ -335,7 +317,6 @@ class TestInitValidation:
     @pytest.mark.parametrize("kw", [
         dict(total_steps=-1), dict(batch_size=0), dict(latent_dim=0),
         dict(hidden=0), dict(lr=-1e-3), dict(lr_d=-1e-3),
-        dict(lr_decay_to=-0.1), dict(lr_decay_to=1.5),
         dict(beta1=1.0), dict(beta2=1.0), dict(adam_eps=0.0), dict(lr=float("nan")),
         dict(t_max=60, t_max_cap=50),
         dict(lr_d=float("inf")), dict(beta1=5.0), dict(beta2=-1.0),
@@ -366,19 +347,6 @@ class TestInitValidation:
     def test_lr_d_defaults_to_lr(self):
         state = init_train_state(tiny_data(), tiny_config(lr=3e-4))
         assert state.opt_g.lr == state.opt_d.lr == 3e-4
-
-    def test_lr_decay_schedule_values(self):
-        cfg = tiny_config(total_steps=10, lr=1e-3, lr_d=2e-3, lr_decay_to=0.5)
-        state = init_train_state(tiny_data(), cfg)
-        seen = []
-        for _ in range(10):
-            train_step(state)
-            seen.append((state.opt_g.lr, state.opt_d.lr))
-        # step k ran with the 0-based factor 1 + (0.5 - 1) * k / 10
-        for k, (lg, ld) in enumerate(seen):
-            f = 1.0 + (0.5 - 1.0) * k / 10
-            assert lg == pytest.approx(1e-3 * f, rel=1e-15)
-            assert ld == pytest.approx(2e-3 * f, rel=1e-15)
 
     def test_lr_d_splits_the_optimizers(self):
         state = init_train_state(tiny_data(), tiny_config(lr=3e-4, lr_d=9e-4))
