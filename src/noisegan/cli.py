@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: train, toy-jsd, toy-disc, schedule-dump, gradcheck,
-diffuse-demo.  Every run writes its artifacts plus a meta.json (resolved
-parameters and seed) into --out; reruns with the same arguments and seed
+diffuse-demo.  A command's own flags are the fields of its spec class in
+``_COMMANDS``, which give the parser, the range checks and meta.json.
+Every run creates --out, writes meta.json (resolved parameters and seed)
+into it, then its artifacts; reruns with the same arguments and seed
 produce byte-identical CSVs.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
@@ -16,7 +18,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,7 +30,8 @@ from .errors import DataError, NumericError
 from .gradcheck import ISOLATED_BOUND, PATH_BOUND, run_suite
 from .net import save_net
 from .schedule import build_schedule, diffuse
-from .trainer import GanConfig, config_from_dict, generate, train
+from .trainer import (FINITE, POSITIVE, GanConfig, at_least, check_fields,
+                      config_from_dict, generate, train)
 from .svgplot import line_chart, scatter_chart
 
 
@@ -47,13 +50,24 @@ def _prng(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed, stream])
 
 
-def _write_meta(out_dir: str, command: str, seed: int, params: dict) -> None:
-    doc = {"command": command, "seed": seed, "version": __version__,
-           "params": params}
-    with open(os.path.join(out_dir, "meta.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+def _write_json(path, doc) -> None:
+    """Write ``doc`` as indented JSON with sorted keys; NaN and inf raise."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
+
+
+def _start(args, seed: int, params: dict) -> None:
+    """Create --out and write meta.json into it: the command, its seed and
+    the value of each flag of its spec, or of ``params`` where given."""
+    spec = _COMMANDS[args.command][0]
+    doc = {"command": args.command, "seed": seed, "version": __version__,
+           "params": {**{f.name: getattr(args, f.name) for f in fields(spec)}, **params}}
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        _write_json(os.path.join(args.out, "meta.json"), doc)
+    except OSError as e:
+        raise _UsageError(f"--out {args.out!r:.80}: {e.strerror}") from None
 
 
 def _fnum(v) -> str:
@@ -76,53 +90,67 @@ def _parse_levels(args, schedule, lowest: int = 0):
     return levels
 
 
+def _prepare(args, lowest: int = 0):
+    """Build the schedule and parse ``--t-list`` (levels None without one),
+    then create --out with its meta.json; returns (schedule, levels)."""
+    params = {name: getattr(args, name) for name in _SCHEDULE_PARAMS}
+    schedule = build_schedule(**params)
+    if "t_list" in vars(args):
+        params["t_list"] = _parse_levels(args, schedule, lowest)
+    _start(args, args.seed, params)
+    return schedule, params.get("t_list")
+
+
 def _flag_name(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _require_finite(args, *names) -> None:
-    """Usage error unless each named float flag that is set is finite."""
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and not math.isfinite(value):
-            raise _UsageError(f"{_flag_name(name)} must be finite, got {value}")
+def _flag(f) -> str:
+    """The flag of spec field ``f``: ``metadata["flag"]`` or its name with dashes."""
+    return f.metadata.get("flag", _flag_name(f.name))
 
 
 _SCHEDULE_PARAMS = inspect.signature(build_schedule).parameters
-
-
-def _schedule_params(args) -> dict:
-    """The schedule settings of a run, keyed like ``build_schedule``'s
-    parameters (and so in ``meta.json``)."""
-    return {name: getattr(args, name) for name in _SCHEDULE_PARAMS}
-
-
-def _add_schedule_flags(p):
-    for name, param in _SCHEDULE_PARAMS.items():
-        p.add_argument(_flag_name(name), type=type(param.default),
-                       default=param.default)
-
-
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default="out")
-
-
-# ----------------------------------------------------------------- train
-
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
-def _add_config_flags(p):
-    """One flag per ``GanConfig`` field (see its docstring), stored under
-    the field's name; an unset flag stays ``None``."""
-    for f in fields(GanConfig):
+def _add_flags(p, spec, unset=False):
+    """One flag per field of the dataclass ``spec`` (see ``GanConfig``'s
+    docstring), stored under the field's name, with its range in its help;
+    a flag not given takes the field's default, or ``None`` with ``unset``."""
+    for f in fields(spec):
         kw = {k: f.metadata[k] for k in ("help", "choices") if k in f.metadata}
+        if "range" in f.metadata:
+            kw["help"] = f"{kw.get('help', '')} (must be {f.metadata['range'][0]})"
         if f.type == "bool":
             kw.update(action="store_const", const=not f.default)
         else:
             kw["type"] = _FLAG_TYPES[f.type.split(" | ")[0]]
-        p.add_argument(f.metadata.get("flag", _flag_name(f.name)), dest=f.name, **kw)
+        p.add_argument(_flag(f), dest=f.name, default=None if unset else f.default, **kw)
+
+
+@dataclass(init=False, repr=False, eq=False)
+class SeedFlags:
+    """``schedule-dump``'s flag, first in each spec below: the streams' seed."""
+
+    seed: int = field(default=1, metadata={"range": at_least(0)})
+
+
+# ----------------------------------------------------------------- train
+
+@dataclass(init=False, repr=False, eq=False)
+class TrainFlags:
+    """``train``'s own flags; one flag per ``GanConfig`` field follows them."""
+
+    config: str | None = field(default=None, metadata={
+        "help": "JSON file of config fields"})
+    data: str | None = field(default=None, metadata={
+        "help": "train on this CSV instead of the 5x5 grid"})
+    data_n: int = field(default=100000, metadata={"range": at_least(1)})
+    sample_n: int = field(default=10000, metadata={"range": at_least(0)})
+    k_sigma: float = field(default=3.0, metadata={"range": POSITIVE})
+    min_count: float | None = field(default=None, metadata={"range": POSITIVE})
+    svg: bool = False
 
 
 def _resolve_config(args) -> GanConfig:
@@ -147,7 +175,6 @@ def _resolve_config(args) -> GanConfig:
 
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    os.makedirs(args.out, exist_ok=True)
     grid = grid_25()
     if args.data:
         dataset = load_csv(args.data)
@@ -155,6 +182,7 @@ def cmd_train(args) -> int:
             raise DataError(f"{args.data}: empty dataset")
     else:
         dataset = sample_grid(grid, args.data_n, _prng(cfg.seed, 0))
+    _start(args, cfg.seed, {"config": asdict(cfg)})
 
     gen, disc, trace = train(dataset, cfg)
 
@@ -167,10 +195,7 @@ def cmd_train(args) -> int:
     if not args.data:
         report = coverage(samples, grid, k_sigma=args.k_sigma,
                           min_count=args.min_count)
-        with open(os.path.join(args.out, "coverage.json"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(args.out, "coverage.json"), report.as_dict())
         print(f"modes covered: {report.modes_covered}/{grid.centers.shape[0]}  "
               f"high-quality fraction: {report.high_quality_fraction:.3f}")
 
@@ -178,28 +203,29 @@ def cmd_train(args) -> int:
         show = [("data", dataset[:2000]), ("generated", samples[:2000])]
         scatter_chart(os.path.join(args.out, "scatter.svg"), show,
                       title="data vs generated", xlabel="x1", ylabel="x2")
-
-    params = {"config": asdict(cfg), "data": args.data,
-              "data_n": args.data_n, "sample_n": args.sample_n,
-              "k_sigma": args.k_sigma, "min_count": args.min_count}
-    _write_meta(args.out, "train", cfg.seed, params)
     return 0
 
 
 # ---------------------------------------------------------------- toy-jsd
 
+@dataclass(init=False, repr=False, eq=False)
+class ToyJsdFlags(SeedFlags):
+    """``toy-jsd``'s flags: the offsets and levels of the sweep, and how a
+    divergence at a level above 0 is computed."""
+
+    theta_min: float = field(default=-1.0, metadata={"range": FINITE})
+    theta_max: float = field(default=1.0, metadata={"range": FINITE})
+    theta_steps: int = field(default=401, metadata={"range": at_least(2)})
+    t_list: str = "0,1,50,200,800"
+    method: str = field(default="quadrature",
+                        metadata={"choices": ("quadrature", "monte_carlo")})
+    mc_n: int = field(default=200000, metadata={"range": at_least(2)})
+    tol: float = field(default=1e-12, metadata={"range": POSITIVE})
+    svg: bool = field(default=True, metadata={"flag": "--no-svg"})
+
+
 def cmd_toy_jsd(args) -> int:
-    schedule = build_schedule(**_schedule_params(args))
-    if not (0.0 < args.tol < math.inf):
-        raise _UsageError(f"--tol must be finite and > 0, got {args.tol}")
-    if args.theta_steps < 2:
-        raise _UsageError("--theta-steps must be >= 2")
-    _require_finite(args, "theta_min", "theta_max")
-    if args.method == "monte_carlo" and args.mc_n < 2:
-        raise _UsageError(f"--mc-n must be >= 2 with --method monte_carlo, "
-                          f"got {args.mc_n}")
-    levels = _parse_levels(args, schedule)
-    os.makedirs(args.out, exist_ok=True)
+    schedule, levels = _prepare(args)
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     rng = _prng(args.seed, 3)
 
@@ -227,24 +253,26 @@ def cmd_toy_jsd(args) -> int:
                        [wasserstein_reference(th) for th in thetas]))
         line_chart(os.path.join(args.out, "toy_jsd.svg"), series,
                    title="toy divergence vs offset", xlabel="theta", ylabel="nats")
-
-    _write_meta(args.out, "toy-jsd", args.seed, {
-        "theta_min": args.theta_min, "theta_max": args.theta_max,
-        "theta_steps": args.theta_steps, "t_list": levels, "method": args.method,
-        "mc_n": args.mc_n, "tol": args.tol, **_schedule_params(args)})
     return 0
 
 
 # --------------------------------------------------------------- toy-disc
 
-def cmd_toy_disc(args) -> int:
-    schedule = build_schedule(**_schedule_params(args))
-    if args.y_steps < 1:
-        raise _UsageError(f"--y-steps must be >= 1, got {args.y_steps}")
-    _require_finite(args, "theta", "y_min", "y_max")
-    levels = _parse_levels(args, schedule, lowest=1)
-    os.makedirs(args.out, exist_ok=True)
+@dataclass(init=False, repr=False, eq=False)
+class ToyDiscFlags(SeedFlags):
+    """``toy-disc``'s flags: the offset, the levels (each >= 1) and the
+    grid of y; an unset bound of y is 6 stds past the farther mean."""
 
+    theta: float = field(default=0.5, metadata={"range": FINITE})
+    t_list: str = "1,50,200,800"
+    y_steps: int = field(default=201, metadata={"range": at_least(1)})
+    y_min: float | None = field(default=None, metadata={"range": FINITE})
+    y_max: float | None = field(default=None, metadata={"range": FINITE})
+    svg: bool = field(default=True, metadata={"flag": "--no-svg"})
+
+
+def cmd_toy_disc(args) -> int:
+    schedule, levels = _prepare(args, lowest=1)
     rows, series = [], []
     for t in levels:
         toy = ToyParams.at(args.theta, t, schedule)
@@ -262,36 +290,35 @@ def cmd_toy_disc(args) -> int:
         line_chart(os.path.join(args.out, "toy_disc.svg"), series,
                    title=f"optimal discriminator, theta={args.theta}",
                    xlabel="y", ylabel="D*(y)")
-    _write_meta(args.out, "toy-disc", args.seed, {
-        "theta": args.theta, "t_list": levels, "y_steps": args.y_steps,
-        "y_min": args.y_min, "y_max": args.y_max, **_schedule_params(args)})
     return 0
 
 
 # ----------------------------------------------------------- schedule-dump
 
 def cmd_schedule_dump(args) -> int:
-    schedule = build_schedule(**_schedule_params(args))
-    os.makedirs(args.out, exist_ok=True)
+    schedule, _ = _prepare(args)
     rows = [[t, _fnum(schedule.betas[t]),
              _fnum(float(schedule.alpha_bars[t]))]
             for t in range(1, schedule.t_max_cap + 1)]
     write_rows(os.path.join(args.out, "schedule.csv"), rows,
                ("t", "beta", "alpha_bar"))
-    _write_meta(args.out, "schedule-dump", args.seed, _schedule_params(args))
     return 0
 
 
 # ---------------------------------------------------------------- gradcheck
 
+@dataclass(init=False, repr=False, eq=False)
+class GradcheckFlags(SeedFlags):
+    """``gradcheck``'s flags: the number of seeds, the finite-difference
+    step and the levels of the path checks."""
+
+    seeds: int = field(default=20, metadata={"range": at_least(1)})
+    h: float = field(default=1e-5, metadata={"range": POSITIVE})
+    t_list: str = "0,5,100"
+
+
 def cmd_gradcheck(args) -> int:
-    schedule = build_schedule(**_schedule_params(args))
-    if not (0.0 < args.h < math.inf):
-        raise _UsageError(f"--h must be finite and > 0, got {args.h}")
-    if args.seeds < 1:
-        raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
-    levels = _parse_levels(args, schedule)
-    os.makedirs(args.out, exist_ok=True)
+    schedule, levels = _prepare(args)
     rows, max_iso, max_path = run_suite(schedule, n_seeds=args.seeds,
                                         base_seed=args.seed, h=args.h,
                                         path_levels=tuple(levels))
@@ -299,9 +326,6 @@ def cmd_gradcheck(args) -> int:
                [[r["check"], r["sizes"], r["seed"], r["t"], _fnum(r["max_rel_err"])]
                 for r in rows],
                ("check", "sizes", "seed", "t", "max_rel_err"))
-    _write_meta(args.out, "gradcheck", args.seed, {
-        "seeds": args.seeds, "h": args.h, "t_list": levels,
-        **_schedule_params(args)})
     print(f"gradcheck: isolated max rel err {max_iso:.3e}, "
           f"path max rel err {max_path:.3e}")
     failed = [f"{kind} max rel err {err:.3e} > {bound:g}"
@@ -316,10 +340,19 @@ def cmd_gradcheck(args) -> int:
 
 # -------------------------------------------------------------- diffuse-demo
 
+@dataclass(init=False, repr=False, eq=False)
+class DiffuseDemoFlags(SeedFlags):
+    """``diffuse-demo``'s flags: the points to noise and the levels."""
+
+    data: str | None = field(default=None, metadata={
+        "help": "CSV to noise (default: fresh grid samples)"})
+    data_n: int = field(default=2000, metadata={"range": at_least(1)})
+    t_list: str = "0,10,100,400,1000"
+    svg: bool = False
+
+
 def cmd_diffuse_demo(args) -> int:
-    schedule = build_schedule(**_schedule_params(args))
-    levels = _parse_levels(args, schedule)
-    os.makedirs(args.out, exist_ok=True)
+    schedule, levels = _prepare(args)
     if args.data:
         points = load_csv(args.data)
         if points.shape[0] == 0:
@@ -338,78 +371,39 @@ def cmd_diffuse_demo(args) -> int:
     if args.svg:
         scatter_chart(os.path.join(args.out, "diffuse_demo.svg"), groups,
                       title="forward noising", xlabel="x1", ylabel="x2")
-    _write_meta(args.out, "diffuse-demo", args.seed, {
-        "t_list": levels, "data": args.data, "data_n": args.data_n,
-        **_schedule_params(args)})
     return 0
 
 
 # ------------------------------------------------------------------ parser
 
+# command -> (its spec, its function, its one-line help)
+_COMMANDS = {
+    "train": (TrainFlags, cmd_train, "train a GAN (noising on by default)"),
+    "toy-jsd": (ToyJsdFlags, cmd_toy_jsd, "divergence sweep on the toy pair"),
+    "toy-disc": (ToyDiscFlags, cmd_toy_disc, "optimal discriminator curves"),
+    "schedule-dump": (SeedFlags, cmd_schedule_dump, "emit the beta / alpha_bar table"),
+    "gradcheck": (GradcheckFlags, cmd_gradcheck, "finite-difference gradient audit"),
+    "diffuse-demo": (DiffuseDemoFlags, cmd_diffuse_demo,
+                     "noise a point cloud at several levels"),
+}
+
+
 def build_parser() -> _Parser:
+    """Each command's flags: --out, then its spec's, then ``GanConfig``'s
+    for ``train`` and the schedule's for every other command."""
     parser = _Parser(prog="noisegan",
                      description="noise-annealed GAN toolbox")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("train", help="train a GAN (noising on by default)")
-    p.add_argument("--out", default="out")
-    p.add_argument("--config", help="JSON file of config fields")
-    _add_config_flags(p)
-    p.add_argument("--data", help="train on this CSV instead of the 5x5 grid")
-    p.add_argument("--data-n", type=int, default=100000, dest="data_n")
-    p.add_argument("--sample-n", type=int, default=10000, dest="sample_n")
-    p.add_argument("--k-sigma", type=float, default=3.0, dest="k_sigma")
-    p.add_argument("--min-count", type=float, default=None, dest="min_count")
-    p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("toy-jsd", help="divergence sweep on the toy pair")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.add_argument("--theta-min", type=float, default=-1.0)
-    p.add_argument("--theta-max", type=float, default=1.0)
-    p.add_argument("--theta-steps", type=int, default=401)
-    p.add_argument("--t-list", default="0,1,50,200,800")
-    p.add_argument("--method", choices=("quadrature", "monte_carlo"),
-                   default="quadrature")
-    p.add_argument("--mc-n", type=int, default=200000, dest="mc_n")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--no-svg", dest="svg", action="store_false")
-    p.set_defaults(func=cmd_toy_jsd, svg=True)
-
-    p = sub.add_parser("toy-disc", help="optimal discriminator curves")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.add_argument("--theta", type=float, default=0.5)
-    p.add_argument("--t-list", default="1,50,200,800")
-    p.add_argument("--y-steps", type=int, default=201)
-    p.add_argument("--y-min", type=float, default=None)
-    p.add_argument("--y-max", type=float, default=None)
-    p.add_argument("--no-svg", dest="svg", action="store_false")
-    p.set_defaults(func=cmd_toy_disc, svg=True)
-
-    p = sub.add_parser("schedule-dump", help="emit the beta / alpha_bar table")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.set_defaults(func=cmd_schedule_dump)
-
-    p = sub.add_parser("gradcheck", help="finite-difference gradient audit")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--t-list", default="0,5,100")
-    p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("diffuse-demo", help="noise a point cloud at several levels")
-    _add_common(p)
-    _add_schedule_flags(p)
-    p.add_argument("--data", help="CSV to noise (default: fresh grid samples)")
-    p.add_argument("--data-n", type=int, default=2000, dest="data_n")
-    p.add_argument("--t-list", default="0,10,100,400,1000")
-    p.add_argument("--svg", action="store_true")
-    p.set_defaults(func=cmd_diffuse_demo)
-
+    for name, (spec, _, summary) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--out", default="out")
+        _add_flags(p, spec)
+        if spec is TrainFlags:
+            _add_flags(p, GanConfig, unset=True)
+        else:
+            for param in _SCHEDULE_PARAMS.values():
+                p.add_argument(_flag_name(param.name), type=type(param.default),
+                               default=param.default)
     return parser
 
 
@@ -420,14 +414,13 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        return args.func(args)
+        spec, run, _ = _COMMANDS[args.command]
+        check_fields(args, spec, _flag)
+        return run(args)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (DataError, OSError, UnicodeDecodeError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericError as e:

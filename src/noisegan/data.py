@@ -78,7 +78,11 @@ def coverage(samples: np.ndarray, grid: GaussGrid, k_sigma: float = 3.0,
     ``min_count`` high-quality samples land on it (default
     ``max(1, n / 2500)``).  Mode counts sum to the number of
     high-quality samples; permutation-invariant in the sample order.
+    ``k_sigma`` and a given ``min_count`` must be finite and > 0.
     """
+    for name, value in (("k_sigma", k_sigma), ("min_count", min_count)):
+        if value is not None and not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     pts = np.asarray(samples, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != grid.centers.shape[1]:
         raise ValueError(f"samples must be (n, {grid.centers.shape[1]}), got {pts.shape}")

@@ -45,25 +45,39 @@ from .tsampler import (MODES, TimestepPolicy, check_policy_settings, draw_t,
                        init_policy, observe_d, update_t)
 
 
+def at_least(low):
+    """The range of a count: ``>= low``."""
+    return f">= {low}", lambda v: v >= low
+
+
+FINITE = "finite", math.isfinite
+POSITIVE = "finite and > 0", lambda v: 0.0 < v < math.inf
+_RATE = "finite and >= 0", lambda v: 0.0 <= v < math.inf
+_DECAY = "in [0, 1)", lambda v: 0.0 <= v < 1.0
+
+
 @dataclass
 class GanConfig:
     """Hyperparameters; defaults are the grid-of-Gaussians setup.
 
     Each field is a ``train`` flag: ``metadata["flag"]`` or the name with
-    dashes; a bool field's flag sets the opposite of its default.
+    dashes; a bool field's flag sets the opposite of its default; see
+    ``check_fields`` for ``metadata["range"]``.
     """
 
-    total_steps: int = field(default=20000, metadata={"flag": "--steps"})
-    batch_size: int = field(default=128, metadata={"flag": "--batch"})
-    latent_dim: int = 2
-    hidden: int = 128
-    lr: float = 1e-4
+    total_steps: int = field(default=20000, metadata={"flag": "--steps",
+                                                      "range": at_least(0)})
+    batch_size: int = field(default=128, metadata={"flag": "--batch",
+                                                   "range": at_least(1)})
+    latent_dim: int = field(default=2, metadata={"range": at_least(1)})
+    hidden: int = field(default=128, metadata={"range": at_least(1)})
+    lr: float = field(default=1e-4, metadata={"range": _RATE})
     lr_d: float | None = field(default=None, metadata={
-        "help": "discriminator learning rate (defaults to --lr)"})
-    beta1: float = 0.5
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    seed: int = 1
+        "help": "discriminator learning rate (defaults to --lr)", "range": _RATE})
+    beta1: float = field(default=0.5, metadata={"range": _DECAY})
+    beta2: float = field(default=0.999, metadata={"range": _DECAY})
+    adam_eps: float = field(default=1e-8, metadata={"range": POSITIVE})
+    seed: int = field(default=1, metadata={"range": at_least(0)})
     # noising
     diffusion_enabled: bool = field(default=True, metadata={"flag": "--no-diffusion"})
     sigma: float = 0.05
@@ -83,23 +97,7 @@ class GanConfig:
                 "(feature pinned to 0)"})
 
     def validate(self) -> None:
-        for f in fields(self):
-            _check_type(f, getattr(self, f.name))
-        if self.total_steps < 0:
-            raise ValueError(f"total_steps must be >= 0, got {self.total_steps}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.latent_dim < 1 or self.hidden < 1:
-            raise ValueError("latent_dim and hidden must be >= 1")
-        for name in ("lr", "lr_d"):
-            value = getattr(self, name)
-            if value is not None and not (0.0 <= value < math.inf):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        for name in ("beta1", "beta2"):
-            if not (0.0 <= getattr(self, name) < 1.0):
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not (0.0 < self.adam_eps < math.inf):
-            raise ValueError(f"adam_eps must be finite and > 0, got {self.adam_eps}")
+        check_fields(self)
         check_schedule_settings(self.t_max_cap, self.beta_start, self.beta_end,
                                 self.sigma)
         if not (self.t_max <= self.t_max_cap):
@@ -125,21 +123,28 @@ _KINDS = {
 }
 
 
-def _check_type(f, value) -> None:
-    """Raise ``ValueError`` unless ``value`` has the declared type of the
-    config field ``f`` (checked before any range, so no comparison can
-    hit a wrong type)."""
-    base, _, rest = f.type.partition(" | ")    # annotations are strings here
-    optional = rest == "None"
-    if value is None and optional:
-        return
-    accepted, what = _KINDS[base]
-    # a bool is an int to Python, but not a number here
-    if not isinstance(value, accepted) or (base != "bool" and isinstance(value, bool)):
-        what += " or null" if optional else ""
-        raise ValueError(f"{f.name} must be {what}, got {value!r:.40}")
-    if base == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ValueError(f"{f.name} is too large for a float, got {value!r:.40}")
+def check_fields(obj, spec=None, name=lambda f: f.name) -> None:
+    """Raise ``ValueError`` unless each field of the dataclass ``spec``
+    (default: ``obj``'s own), read from ``obj``, has its declared type and,
+    unless it is None, lies in its ``metadata["range"]``, a pair (what, ok)
+    with ``ok(value)`` true in range.  The type is checked first, so no
+    range test sees a wrong type; a message names a field ``name(field)``."""
+    for f in fields(spec or obj):
+        value = getattr(obj, f.name)
+        base, _, rest = f.type.partition(" | ")    # annotations are strings here
+        optional = rest == "None"
+        if value is None and optional:
+            continue
+        accepted, what = _KINDS[base]
+        # a bool is an int to Python, but not a number here
+        if not isinstance(value, accepted) or (base != "bool" and isinstance(value, bool)):
+            what += " or null" if optional else ""
+            raise ValueError(f"{name(f)} must be {what}, got {value!r:.40}")
+        if base == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
+            raise ValueError(f"{name(f)} is too large for a float, got {value!r:.40}")
+        what, ok = f.metadata.get("range", ("", None))
+        if ok and not ok(value):
+            raise ValueError(f"{name(f)} must be {what}, got {value!s:.40}")
 
 
 def config_from_dict(doc: dict) -> GanConfig:

@@ -9,7 +9,7 @@ import argparse
 import inspect
 import json
 import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -397,6 +397,17 @@ class TestBadInputsExitWithAMessage:
         (["toy-jsd", "--theta-max", "inf"], "--theta-max must be finite"),
         (["toy-jsd", "--method", "monte_carlo", "--mc-n", "1"], "--mc-n must be >= 2"),
         (["toy-jsd", "--method", "monte_carlo", "--mc-n", "-5"], "--mc-n must be >= 2"),
+        (["toy-jsd", "--mc-n", "1"], "--mc-n must be >= 2"),
+        (["train", "--min-count", "-5", *TRAIN_TINY], "--min-count must be finite and > 0"),
+        (["train", "--min-count", "0", *TRAIN_TINY], "--min-count must be finite and > 0"),
+        (["train", "--min-count", "nan", *TRAIN_TINY], "--min-count must be finite and > 0"),
+        (["train", "--k-sigma", "-1", *TRAIN_TINY], "--k-sigma must be finite and > 0"),
+        (["train", "--k-sigma", "nan", *TRAIN_TINY], "--k-sigma must be finite and > 0"),
+        (["train", "--sample-n", "-1", "--steps", "4", "--batch", "8", "--hidden", "8"],
+         "--sample-n must be >= 0"),
+        (["train", "--data-n", "0", "--steps", "4"], "--data-n must be >= 1"),
+        (["diffuse-demo", "--data-n", "0", "--svg"], "--data-n must be >= 1"),
+        (["toy-jsd", "--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_bad_command_values(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
@@ -404,6 +415,41 @@ class TestBadInputsExitWithAMessage:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and message in err
         assert not out.exists()     # rejected before anything ran
+
+    @pytest.mark.parametrize("under", [False, True])
+    @pytest.mark.parametrize("command", ["train", "toy-jsd", "toy-disc", "schedule-dump",
+                                         "gradcheck", "diffuse-demo"])
+    def test_out_that_cannot_be_created(self, tmp_path, capsys, command, under):
+        # --out names an existing file, or a path under one
+        blocker = tmp_path / "f"
+        blocker.write_text("keep")
+        out = blocker / "x" if under else blocker
+        argv = {"train": TRAIN_TINY, "schedule-dump": []}.get(command, ["--t-list", "1"])
+        assert run([command, *argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --out {str(out)!r}") and "Traceback" not in err
+        assert blocker.read_text() == "keep"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--data"), ("train", "--config"), ("diffuse-demo", "--data")])
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_input_file_is_data_error(self, tmp_path, capsys, command, flag,
+                                                 kind):
+        path = tmp_path / "in"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe,1\n")
+        argv = TRAIN_TINY if command == "train" else []
+        assert run([command, flag, str(path), *argv, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def test_train_reads_its_data_before_creating_out(self, tmp_path):
+        out = tmp_path / "o"
+        assert run(["train", "--data", str(tmp_path / "absent.csv"), *TRAIN_TINY,
+                    "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 # every GanConfig field, each at a valid value other than its default
@@ -478,6 +524,43 @@ class TestFlagsComeFromTheConfig:
         params = json.loads((out / "meta.json").read_text())["params"]
         assert {k: params[k] for k in ("t_max_cap", "beta_start", "beta_end", "sigma")} \
             == {"t_max_cap": 60, "beta_start": 1e-4, "beta_end": 0.02, "sigma": 0.25}
+
+    @pytest.mark.parametrize("command", ["train", *SCHEDULE_COMMANDS])
+    def test_flags_come_from_the_spec(self, command):
+        spec = cli._COMMANDS[command][0]
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in sub.choices[command]._actions
+                   if a.option_strings and a.dest != "help"}
+        rest = ({f.name for f in fields(GanConfig)} if command == "train"
+                else set(inspect.signature(build_schedule).parameters))
+        assert set(actions) == {f.name for f in fields(spec)} | {"out"} | rest
+        for f in fields(spec):
+            assert actions[f.name].default == f.default
+            if "range" in f.metadata:
+                assert "must be " + f.metadata["range"][0] in actions[f.name].help
+
+    @pytest.mark.parametrize("command, argv", [
+        ("train", TRAIN_TINY),
+        ("toy-jsd", ["--theta-steps", "2", "--no-svg", "--t-list", "1"]),
+        ("toy-disc", ["--y-steps", "3", "--no-svg", "--t-list", "1"]),
+        ("schedule-dump", ["--t-max-cap", "3"]),
+        ("gradcheck", ["--seeds", "1", "--t-list", "1"]),
+        ("diffuse-demo", ["--data-n", "4", "--t-list", "1"]),
+    ])
+    def test_meta_records_every_flag_of_the_spec(self, tmp_path, command, argv):
+        out = tmp_path / "o"
+        assert run([command, "--out", str(out), *argv]) == 0
+        params = json.loads((out / "meta.json").read_text())["params"]
+        spec = cli._COMMANDS[command][0]
+        rest = set() if command == "train" else set(
+            inspect.signature(build_schedule).parameters)
+        assert set(params) == {f.name for f in fields(spec)} | rest
+        if command == "train":
+            assert params["config"] == asdict(_resolve_config(
+                build_parser().parse_args(["train", *argv])))
+        elif command != "schedule-dump":
+            assert params["t_list"] == [1]
 
 
 class TestMetaAndParser:

@@ -160,6 +160,16 @@ class TestCoverage:
         with pytest.raises(ValueError):
             coverage(np.zeros(4), grid_25())
 
+    @pytest.mark.parametrize("kw", [
+        dict(k_sigma=0.0), dict(k_sigma=-1.0), dict(k_sigma=float("nan")),
+        dict(k_sigma=float("inf")), dict(min_count=0), dict(min_count=-5),
+        dict(min_count=float("nan")), dict(min_count=float("inf")),
+    ])
+    def test_rejects_a_radius_or_count_out_of_range(self, kw):
+        name = next(iter(kw))
+        with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+            coverage(grid_25().centers, grid_25(), **kw)
+
     def test_as_dict_is_json_ready(self):
         rep = coverage(grid_25().centers, grid_25())
         doc = rep.as_dict()

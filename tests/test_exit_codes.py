@@ -190,9 +190,13 @@ def argvs(draw):
             *extra]
 
 
+# --out: mostly a fresh directory, else an existing file or a path under one
+OUTS = st.sampled_from(["out"] * 8 + ["pts.csv", os.path.join("pts.csv", "x")])
+
+
 @settings(max_examples=200, deadline=None)
-@given(argvs())
-def test_every_argv_exits_with_a_documented_code(argv):
+@given(argvs(), OUTS)
+def test_every_argv_exits_with_a_documented_code(argv, out):
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in INPUT_FILES.items():
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
@@ -201,6 +205,6 @@ def test_every_argv_exits_with_a_documented_code(argv):
                 else tok for tok in argv]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            rc = main([*argv, "--out", os.path.join(tmp, "out")])
-    assert rc in (0, 1, 2, 3), argv
+            rc = main([*argv, "--out", os.path.join(tmp, out)])
+    assert rc in (0, 1, 2, 3), (argv, out)
     assert "Traceback" not in err.getvalue()
