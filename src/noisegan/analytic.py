@@ -16,9 +16,14 @@ by adaptive Gauss-Legendre quadrature or Monte Carlo, exposes the
 pointwise optimal discriminator, and checks the mixture identity
 JSD(joint) = E_t[JSD(conditionals)] on finite cases by enumeration.
 
-The 16-point Gauss-Legendre rule is built once per process, on the
-first quadrature (not at import), and every later call shares its node
-and weight arrays, which are read-only.
+The quadrature is composite 16-point Gauss-Legendre over one or two
+spans, with panels doubled until two successive depths agree to ``tol``.
+Depths 0 and 1 of every span share one in-place pass over the integrand
+and each deeper depth (rare) takes one more, yet each (depth, span) block
+is reduced on its own, so values and node counts are bit for bit those of
+a panel-by-panel loop.  The rule is built once per process, on the first
+quadrature (not at import), and every later call shares its read-only
+node and weight arrays.
 """
 
 from __future__ import annotations
@@ -51,6 +56,9 @@ class ToyParams:
 
     @classmethod
     def at(cls, theta: float, t: int, schedule: DiffusionSchedule) -> "ToyParams":
+        theta = float(theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
         if not (1 <= t <= schedule.t_max_cap):
             raise ValueError(f"t must be in [1, {schedule.t_max_cap}], got {t}")
         abar = float(schedule.alpha_bars[t])
@@ -58,7 +66,7 @@ class ToyParams:
         b_t = (1.0 - abar) * schedule.sigma ** 2
         if not b_t > 0.0:
             raise ValueError(f"degenerate level t={t}: zero noise variance")
-        return cls(float(theta), int(t), schedule, a_t, b_t)
+        return cls(theta, int(t), schedule, a_t, b_t)
 
 
 @dataclass(frozen=True)
@@ -83,18 +91,30 @@ def wasserstein_reference(theta: float) -> float:
     return abs(float(theta))
 
 
-def _log_pdf(y, mean, var):
-    return -0.5 * (y - mean) ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
+def _log_pdf(y, mean, var, out=None):
+    """log N(y; mean, var), computed in ``out`` if given (a float array shaped
+    like ``y``)."""
+    lp = np.square(np.subtract(y, mean, out=out), out=out)
+    lp *= -0.5
+    lp /= var
+    lp -= 0.5 * np.log(2.0 * np.pi * var)
+    return lp
 
 
 def _jsd_integrand(y, mu1, mu2, var):
-    """0.5 * [p*(log p - log m) + q*(log q - log m)] with m = (p+q)/2, in log space."""
-    lp = _log_pdf(y, mu1, var)
-    lq = _log_pdf(y, mu2, var)
+    """0.5 * [p*(log p - log m) + q*(log q - log m)] with m = (p+q)/2, in log
+    space and in place: the float array ``y`` is overwritten with the result."""
+    lp = _log_pdf(y, mu1, var, out=np.empty_like(y))
+    lq = _log_pdf(y, mu2, var, out=y)
     lsum = np.logaddexp(lp, lq)           # log(p + q)
-    term_p = np.exp(lp) * (LN2 + lp - lsum)
-    term_q = np.exp(lq) * (LN2 + lq - lsum)
-    return 0.5 * (term_p + term_q)
+    for lx in (lp, lq):                   # term_p, term_q: exp(lx) * (LN2 + lx - lsum)
+        dens = np.exp(lx)
+        lx += LN2
+        lx -= lsum
+        lx *= dens
+    lq += lp
+    lq *= 0.5
+    return lq
 
 
 def _spans(mu1, mu2, std):
@@ -125,31 +145,61 @@ def _gauss_legendre():
     return x, w
 
 
-def _integrate(fn, spans, std, tol):
+def _edges(lo, hi, panels):
+    """``np.linspace(lo, hi, panels + 1)`` bit for bit, in its own arithmetic."""
+    edges = np.arange(panels + 1, dtype=np.float64) * ((hi - lo) / panels) + lo
+    edges[-1] = hi
+    return edges
+
+
+def _quadrature(p: ToyParams, tol: float) -> JsdEstimate:
     """Composite Gauss-Legendre over the spans, doubling panels until stable."""
+    mu1, mu2, var = 0.0, p.a_t * p.theta, p.b_t
+    std = math.sqrt(var)
+    where = f"toy JSD at theta={p.theta!r}, t={p.t}, tol={tol!r}"
+    spans = _spans(mu1, mu2, std)
+    tail = max(_tail_mass(mu1, std, spans), _tail_mass(mu2, std, spans))
+    if tail * LN2 > tol:
+        raise NumericError(f"{where}: uncovered tail mass {tail:.3e} exceeds tolerance")
     base_x, base_w = _gauss_legendre()
-    prev = None
-    n_evals = 0
     # start with panels roughly one std wide so the first pass already resolves
     # the bumps, then double until the value moves less than tol
-    panels0 = [max(8, int(np.ceil((hi - lo) / std))) for lo, hi in spans]
-    for depth in range(_MAX_REFINES + 1):
-        total = 0.0
-        n_evals = 0
-        for (lo, hi), p0 in zip(spans, panels0):
-            panels = p0 * 2 ** depth
-            edges = np.linspace(lo, hi, panels + 1)
-            half = 0.5 * (edges[1:] - edges[:-1])
-            mid = 0.5 * (edges[1:] + edges[:-1])
-            ys = mid[:, None] + half[:, None] * base_x[None, :]
-            vals = fn(ys)
-            total += float(np.sum(vals @ base_w * half))
-            n_evals += ys.size
-        if prev is not None and abs(total - prev) <= tol:
-            return total, n_evals
-        prev = total
+    panels0 = [max(8, math.ceil((hi - lo) / std)) for lo, hi in spans]
+    # depths 0 and 1 share one pass over the integrand, deeper ones take one each
+    passes = [range(min(2, _MAX_REFINES + 1))] + [[d] for d in range(2, _MAX_REFINES + 1)]
+    prev = None
+    for depths in passes:
+        blocks = [[(lo, hi, p0 * 2 ** depth) for (lo, hi), p0 in zip(spans, panels0)]
+                  for depth in depths]
+        half = np.empty(sum(panels for level in blocks for _, _, panels in level))
+        mid = np.empty_like(half)
+        row = 0
+        for level in blocks:
+            for lo, hi, panels in level:
+                edges = _edges(lo, hi, panels)
+                np.subtract(edges[1:], edges[:-1], out=half[row:row + panels])
+                np.add(edges[1:], edges[:-1], out=mid[row:row + panels])
+                row += panels
+        half *= 0.5
+        mid *= 0.5
+        ys = np.multiply(half[:, None], base_x)
+        ys += mid[:, None]
+        vals = _jsd_integrand(ys, mu1, mu2, var)
+        # one matmul and sum per block, on the rows a pass of its own would see,
+        # keeps every block's bits whatever rows the BLAS kernel groups
+        row = 0
+        for level in blocks:
+            total, first = 0.0, row
+            for _, _, panels in level:
+                block = slice(row, row + panels)
+                total += float(np.add.reduce(vals[block] @ base_w * half[block]))
+                row += panels
+            if prev is not None and abs(total - prev) <= tol:
+                value = 0.0 if abs(total) <= tol else total
+                return JsdEstimate(value, "quadrature", (row - first) * base_x.size)
+            prev = total
     raise NumericError(
-        f"quadrature did not stabilize to {tol} after {_MAX_REFINES} refinements")
+        f"{where}: quadrature did not stabilize after {_MAX_REFINES} refinements")
 
 
 def jsd_diffused(theta: float, t: int, schedule: DiffusionSchedule,
@@ -163,29 +213,19 @@ def jsd_diffused(theta: float, t: int, schedule: DiffusionSchedule,
     ``method="monte_carlo"`` averages the two log-ratio terms over ``n``
     draws per component and reports a standard error; pass ``rng`` for
     control, default is a fixed seed.  Raises ``ValueError`` unless
-    ``tol`` is finite and > 0, whichever the method.
+    ``theta`` is finite and ``tol`` finite and > 0, whichever the method.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     p = ToyParams.at(theta, t, schedule)
-    mu1, mu2 = 0.0, p.a_t * p.theta
-    var = p.b_t
-    std = math.sqrt(var)
-
     if method == "quadrature":
-        spans = _spans(mu1, mu2, std)
-        tail = max(_tail_mass(mu1, std, spans), _tail_mass(mu2, std, spans))
-        if tail * LN2 > tol:
-            raise NumericError(f"uncovered tail mass {tail:.3e} exceeds tolerance")
-        value, n_evals = _integrate(
-            lambda y: _jsd_integrand(y, mu1, mu2, var), spans, std, tol)
-        if abs(value) <= tol:
-            value = 0.0
-        return JsdEstimate(value, "quadrature", n_evals)
+        return _quadrature(p, tol)
 
     if method == "monte_carlo":
         if n < 2:
             raise ValueError(f"monte_carlo needs n >= 2, got {n}")
+        mu1, mu2, var = 0.0, p.a_t * p.theta, p.b_t
+        std = math.sqrt(var)
         if rng is None:
             rng = np.random.default_rng(0)
         y1 = mu1 + std * rng.standard_normal(n)

@@ -8,11 +8,17 @@ Independent oracles used here:
   where both components are actually visited.  At large separations the
   MC terms saturate at log 2 for every draw and the reported standard
   error collapses, so cross-checks carry a 1e-9 absolute floor;
-* hand-enumerated discrete joints for the mixture identity.
+* hand-enumerated discrete joints for the mixture identity;
+* ``reference_quadrature`` below, the quadrature as it ran before depths 0
+  and 1 shared one pass over the integrand: ``np.linspace`` edges, an
+  allocating integrand and one pass per (depth, span).  The fused code
+  must match it bit for bit, node counts and errors included.
 """
 
+import functools
 import math
 import os
+import struct
 import subprocess
 import sys
 
@@ -24,7 +30,7 @@ from noisegan import analytic
 from noisegan.analytic import (LN2, DiscreteJointSpec, JsdEstimate, ToyParams,
                                jsd_diffused, jsd_joint_equality, jsd_original,
                                optimal_discriminator, wasserstein_reference)
-from noisegan.errors import DataError
+from noisegan.errors import DataError, NumericError
 from noisegan.schedule import build_schedule
 
 SCHED = build_schedule(1000, 1e-4, 0.02, 0.05)
@@ -45,6 +51,103 @@ def gauss_hermite_jsd(theta, t, nodes=200):
     t1 = LN2 + lpdf(y1, mu1) - np.logaddexp(lpdf(y1, mu1), lpdf(y1, mu2))
     t2 = LN2 + lpdf(y2, mu2) - np.logaddexp(lpdf(y2, mu1), lpdf(y2, mu2))
     return float(0.5 * (w @ t1 + w @ t2) / math.sqrt(math.pi))
+
+
+def reference_integrand(y, mu1, mu2, var):
+    """The integrand as it ran before it worked in place."""
+    def lpdf(mean):
+        return -0.5 * (y - mean) ** 2 / var - 0.5 * np.log(2.0 * np.pi * var)
+
+    lp, lq = lpdf(mu1), lpdf(mu2)
+    lsum = np.logaddexp(lp, lq)
+    term_p = np.exp(lp) * (LN2 + lp - lsum)
+    term_q = np.exp(lq) * (LN2 + lq - lsum)
+    return 0.5 * (term_p + term_q)
+
+
+def reference_quadrature(theta, t, schedule, tol=1e-12, integrand=reference_integrand):
+    """The panel-by-panel loop as it ran before the passes were fused;
+    returns (value, n_evals) or raises the error's last clause."""
+    p = ToyParams.at(theta, t, schedule)
+    mu1, mu2, var = 0.0, p.a_t * p.theta, p.b_t
+    std = math.sqrt(var)
+    spans = analytic._spans(mu1, mu2, std)
+    tail = max(analytic._tail_mass(mu1, std, spans), analytic._tail_mass(mu2, std, spans))
+    if tail * LN2 > tol:
+        raise NumericError(f"uncovered tail mass {tail:.3e} exceeds tolerance")
+    base_x, base_w = analytic._gauss_legendre()
+    prev = None
+    panels0 = [max(8, int(np.ceil((hi - lo) / std))) for lo, hi in spans]
+    for depth in range(analytic._MAX_REFINES + 1):
+        total = 0.0
+        n_evals = 0
+        for (lo, hi), p0 in zip(spans, panels0):
+            panels = p0 * 2 ** depth
+            edges = np.linspace(lo, hi, panels + 1)
+            half = 0.5 * (edges[1:] - edges[:-1])
+            mid = 0.5 * (edges[1:] + edges[:-1])
+            ys = mid[:, None] + half[:, None] * base_x[None, :]
+            vals = integrand(ys, mu1, mu2, var)
+            total += float(np.sum(vals @ base_w * half))
+            n_evals += ys.size
+        if prev is not None and abs(total - prev) <= tol:
+            return (0.0 if abs(total) <= tol else total), n_evals
+        prev = total
+    raise NumericError(
+        f"quadrature did not stabilize after {analytic._MAX_REFINES} refinements")
+
+
+def outcome(quad, theta, t, tol):
+    """(value bits, n_evals), or (error type, the message's last clause)."""
+    try:
+        value, n_evals = quad(theta, t, SCHED, tol=tol)
+    except NumericError as e:
+        return NumericError, str(e).split(": ")[-1]
+    return struct.pack("<d", value), n_evals
+
+
+def fused(theta, t, schedule, tol):
+    est = jsd_diffused(theta, t, schedule, tol=tol)
+    return est.value, est.n_evals
+
+
+def depth0(theta, t):
+    """The quadrature's spans at (theta, t) and their panel counts at depth 0."""
+    p = ToyParams.at(theta, t, SCHED)
+    std = math.sqrt(p.b_t)
+    spans = analytic._spans(0.0, p.a_t * p.theta, std)
+    return spans, [max(8, math.ceil((hi - lo) / std)) for lo, hi in spans]
+
+
+def assert_matches_reference(cases):
+    for theta, t, tol in cases:
+        want = outcome(reference_quadrature, theta, t, tol)
+        assert outcome(fused, theta, t, tol) == want, (theta, t, tol)
+
+
+def count_integrand(monkeypatch, wrap=None):
+    """Route the quadrature's integrand through a recorder of the node rows
+    of each pass (and through ``wrap``, if given); returns the record."""
+    rows = []
+    inner = wrap(analytic._jsd_integrand) if wrap else analytic._jsd_integrand
+
+    def counting(y, *args):
+        rows.append(y.shape[0])
+        return inner(y, *args)
+
+    monkeypatch.setattr(analytic, "_jsd_integrand", counting)
+    return rows
+
+
+def with_jump(integrand):
+    """The integrand plus a 1e-3 jump at y = 0.0123: Gauss-Legendre then
+    converges only linearly, so the panels double past depth 1."""
+    def jumped(y, *args):
+        jump = (y > 0.0123) * 1e-3       # before an in-place integrand overwrites y
+        out = integrand(y, *args)
+        out += jump
+        return out
+    return jumped
 
 
 class TestOriginalPair:
@@ -74,6 +177,28 @@ class TestToyParamsAt:
     def test_level_bounds(self, t):
         with pytest.raises(ValueError):
             ToyParams.at(0.4, t, SCHED)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_offset_must_be_finite(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            ToyParams.at(theta, 200, SCHED)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+class TestNonFiniteOffset:
+    """A non-finite offset is refused before any work, with no warning."""
+
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    def test_jsd_diffused(self, monkeypatch, theta, method):
+        rows = count_integrand(monkeypatch)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            jsd_diffused(theta, 200, SCHED, method=method, n=100)
+        assert rows == []
+
+    def test_optimal_discriminator(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            optimal_discriminator(np.zeros(3), theta, 200, SCHED)
 
 
 class TestQuadrature:
@@ -134,6 +259,113 @@ class TestQuadrature:
     def test_tolerance_validation(self, method, tol):
         with pytest.raises(ValueError, match="tol must be finite and > 0"):
             jsd_diffused(0.5, 200, SCHED, method=method, tol=tol)
+
+
+class TestFusedPasses:
+    """One pass over the integrand covers depths 0 and 1 of every span and
+    each deeper depth takes one more; the results are bit for bit those of
+    ``reference_quadrature``."""
+
+    def test_default_sweep(self):
+        thetas = [float(th) for th in np.linspace(-1.0, 1.0, 401)]
+        assert_matches_reference([(th, t, 1e-12) for t in (1, 50, 200, 800)
+                                  for th in thetas])
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(13)
+        cases = []
+        for i in range(300):
+            theta = (float(rng.uniform(-2.0, 2.0)) if i % 2 else
+                     float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-14.0, 0.5)))
+            cases.append((theta, int(rng.integers(1, 1001)),
+                          float(rng.choice([1e-9, 1e-12, 1e-14]))))
+        assert_matches_reference(cases)
+
+    def test_zero_and_tiny_offsets(self):
+        cases = [(theta, t, tol) for theta in (0.0, -0.0, 1e-12, -1e-12)
+                 for t in (1, 50, 200, 800, 1000) for tol in (1e-9, 1e-12, 1e-14)]
+        assert_matches_reference(cases)
+        assert struct.pack("<d", jsd_diffused(-0.0, 50, SCHED).value) == struct.pack(
+            "<d", 0.0)
+
+    def test_spans_with_unequal_panel_counts(self):
+        cases = [(1.0, 50), (-1.0, 50), (0.7, 1), (0.5, 50)]
+        for theta, t in cases:
+            counts = depth0(theta, t)[1]
+            assert len(counts) == 2 and counts[0] != counts[1], (theta, t, counts)
+        assert_matches_reference([(theta, t, tol) for theta, t in cases
+                                  for tol in (1e-9, 1e-12, 1e-14)])
+
+    def test_uncovered_tails_raise_alike(self):
+        cases = [(theta, t, 1e-16) for theta in (-1.0, 0.3) for t in (1, 200, 800)]
+        assert_matches_reference(cases)
+        assert all(outcome(fused, *case)[0] is NumericError for case in cases)
+
+    def test_deep_refinements(self, monkeypatch):
+        # with a jump in the integrand the values converge at depths 2 to 8
+        # or never; both loops see the same jump, node for node
+        count_integrand(monkeypatch, wrap=with_jump)
+        cases = [(theta, t, tol) for theta, t in ((0.5, 200), (1.0, 50), (0.1, 800),
+                                                  (0.02, 900), (0.3, 1000), (0.05, 100))
+                 for tol in (1e-7, 1e-8, 1e-9)]
+        jumped = functools.partial(reference_quadrature,
+                                   integrand=with_jump(reference_integrand))
+        depths = set()
+        for theta, t, tol in cases:
+            want = outcome(jumped, theta, t, tol)
+            assert outcome(fused, theta, t, tol) == want, (theta, t, tol)
+            if want[0] is NumericError:
+                depths.add("unstable")
+            else:
+                depths.add(round(math.log2(want[1] / 16 / sum(depth0(theta, t)[1]))))
+        assert depths >= {2, 3, 5, 7, 8, "unstable"}
+
+    def test_edges_are_linspace(self):
+        rng = np.random.default_rng(3)
+        cases = [(lo, hi, p0 * 2 ** depth)
+                 for theta, t in ((1.0, 50), (0.5, 200), (0.0, 1), (-0.7, 800))
+                 for (lo, hi), p0 in zip(*depth0(theta, t)) for depth in range(4)]
+        for _ in range(200):
+            lo = float(rng.uniform(-5.0, 5.0))
+            cases.append((lo, lo + float(10 ** rng.uniform(-6.0, 1.0)),
+                          int(rng.integers(1, 3000))))
+        cases += [(2.5, 2.5, 8), (-1e-300, 1e-300, 16), (-3.0, -2.0, 1)]
+        for lo, hi, panels in cases:
+            got, want = analytic._edges(lo, hi, panels), np.linspace(lo, hi, panels + 1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (lo, hi)
+
+    @pytest.mark.parametrize("theta,t", [(0.5, 200), (1.0, 50), (0.0, 800)])
+    def test_converging_call_makes_one_pass(self, monkeypatch, theta, t):
+        rows = count_integrand(monkeypatch)
+        est = jsd_diffused(theta, t, SCHED)
+        assert rows == [3 * sum(depth0(theta, t)[1])]          # depths 0 and 1
+        assert est.n_evals == 16 * 2 * sum(depth0(theta, t)[1])
+
+    def test_deeper_depths_take_one_pass_each(self, monkeypatch):
+        rows = count_integrand(monkeypatch, wrap=with_jump)
+        est = jsd_diffused(0.5, 200, SCHED, tol=1e-7)
+        n0 = sum(depth0(0.5, 200)[1])
+        assert est.n_evals == 16 * 2 ** 4 * n0                # converged at depth 4
+        assert rows == [3 * n0, 4 * n0, 8 * n0, 16 * n0]
+
+    def test_no_refinement_allowed(self, monkeypatch):
+        # _MAX_REFINES = 0: depth 0 alone, then the call gives up
+        monkeypatch.setattr(analytic, "_MAX_REFINES", 0)
+        rows = count_integrand(monkeypatch)
+        with pytest.raises(NumericError) as err:
+            jsd_diffused(0.5, 200, SCHED)
+        assert rows == [sum(depth0(0.5, 200)[1])]
+        assert str(err.value) == ("toy JSD at theta=0.5, t=200, tol=1e-12: "
+                                  "quadrature did not stabilize after 0 refinements")
+        with pytest.raises(NumericError, match="after 0 refinements"):
+            reference_quadrature(0.5, 200, SCHED)
+
+    def test_tail_error_names_the_case(self):
+        with pytest.raises(NumericError) as err:
+            jsd_diffused(-1.0, 1, SCHED, tol=1e-300)
+        assert str(err.value) == ("toy JSD at theta=-1.0, t=1, tol=1e-300: "
+                                  "uncovered tail mass 1.221e-15 exceeds tolerance")
 
 
 class TestQuadratureRule:
@@ -242,6 +474,15 @@ class TestOptimalDiscriminator:
         far_gen = p.a_t * theta + 20 * std
         assert optimal_discriminator(far_real, theta, t, SCHED) > 1 - 1e-9
         assert optimal_discriminator(far_gen, theta, t, SCHED) < 1e-9
+
+    def test_scalar_matches_array(self):
+        # a lone y gets the bits it gets inside an array (no scalar power)
+        rng = np.random.default_rng(11)
+        for theta, t in ((0.3, 10), (-1.2, 400), (0.05, 900)):
+            ys = rng.normal(0.0, 0.3, 700)
+            batch = optimal_discriminator(ys, theta, t, SCHED)
+            alone = np.array([optimal_discriminator(y, theta, t, SCHED) for y in ys])
+            assert np.array_equal(alone.view(np.uint64), batch.view(np.uint64))
 
     def test_preserves_input_shape(self):
         y = np.zeros((3, 2))

@@ -179,6 +179,14 @@ class TestToyJsd:
         assert run(["toy-jsd", "--out", str(tmp_path / "o"),
                     "--theta-steps", "1"]) == 1
 
+    def test_numeric_failure_names_the_case(self, tmp_path, capsys):
+        # at tol 1e-300 the tails beyond 8 std are not negligible
+        assert run(["toy-jsd", "--out", str(tmp_path / "o"), "--tol", "1e-300",
+                    "--theta-steps", "2", "--t-list", "1"]) == 3
+        assert capsys.readouterr().err == (
+            "numeric error: toy JSD at theta=-1.0, t=1, tol=1e-300: "
+            "uncovered tail mass 1.221e-15 exceeds tolerance\n")
+
     def test_bad_t_list(self, tmp_path):
         assert run(["toy-jsd", "--out", str(tmp_path / "o"),
                     "--t-list", "1,zap"]) == 1
