@@ -63,7 +63,13 @@ class ToyParams:
             raise ValueError(f"t must be in [1, {schedule.t_max_cap}], got {t}")
         abar = float(schedule.alpha_bars[t])
         a_t = math.sqrt(abar)
-        b_t = (1.0 - abar) * schedule.sigma ** 2
+        try:
+            b_t = (1.0 - abar) * schedule.sigma ** 2
+        except OverflowError:       # sigma above sqrt of the largest float
+            b_t = math.inf
+        if not b_t < math.inf:
+            raise ValueError(f"level t={t} with sigma={schedule.sigma} gives a "
+                             "non-finite noise variance")
         if not b_t > 0.0:
             raise ValueError(f"degenerate level t={t}: zero noise variance")
         return cls(theta, int(t), schedule, a_t, b_t)

@@ -75,8 +75,6 @@ class GanConfig:
     lr_d: float | None = field(default=None, metadata={
         "help": "discriminator learning rate (defaults to --lr)", "range": _RATE})
     beta1: float = field(default=0.5, metadata={"range": _DECAY})
-    beta2: float = field(default=0.999, metadata={"range": _DECAY})
-    adam_eps: float = field(default=1e-8, metadata={"range": POSITIVE})
     seed: int = field(default=1, metadata={"range": at_least(0)})
     # noising
     diffusion_enabled: bool = field(default=True, metadata={"flag": "--no-diffusion"})
@@ -90,7 +88,7 @@ class GanConfig:
     d_target: float = 0.6
     c_step: int = 2
     mode: str = field(default="priority", metadata={"choices": MODES})
-    update_interval: int = 4
+    update_interval: int = field(default=4, metadata={"range": at_least(1)})
     t_conditioned: bool = field(default=True, metadata={
         "flag": "--t-ignoring",
         "help": "hide the level feature t/t_max_cap from the discriminator "
@@ -102,10 +100,9 @@ class GanConfig:
                                 self.sigma)
         if not (self.t_max <= self.t_max_cap):
             raise ValueError(f"t_max {self.t_max} exceeds t_max_cap {self.t_max_cap}")
-        # checked for both arms: the vanilla arm still closes a trace
-        # window every update_interval steps
+        # checked whichever arm runs, though only the noising arm builds a policy
         check_policy_settings(self.t_min, self.t_max, self.d_target, self.c_step,
-                              self.mode, self.update_interval)
+                              self.mode)
 
     @property
     def disc_lr(self) -> float:
@@ -271,13 +268,13 @@ def init_train_state(dataset: np.ndarray, config: GanConfig) -> TrainState:
                               config.beta_end, config.sigma)
     gen = init_dense([config.latent_dim, config.hidden, config.hidden, dim], rng)
     disc = init_dense([dim + 1, config.hidden, config.hidden, 1], rng)
-    opt_g = AdamState(config.lr, config.beta1, config.beta2, config.adam_eps)
-    opt_d = AdamState(config.disc_lr, config.beta1, config.beta2, config.adam_eps)
+    opt_g = AdamState(config.lr, config.beta1)
+    opt_d = AdamState(config.disc_lr, config.beta1)
     policy = None
     if config.diffusion_enabled:
         policy = init_policy(rng, t_min=config.t_min, t_max=config.t_max,
                              d_target=config.d_target, c_step=config.c_step,
-                             mode=config.mode, update_interval=config.update_interval)
+                             mode=config.mode)
     return TrainState(config, data, rng, schedule, gen, disc, opt_g, opt_d,
                       policy, TrainTrace())
 

@@ -4,9 +4,10 @@ The discriminator's input noise level t is drawn per sample from a
 64-entry exploration list whose first half is pinned at zero (so the
 discriminator keeps seeing clean samples) and whose second half is
 redrawn periodically from a weighting over ``1..t_current``.  The
-ceiling ``t_current`` moves every ``update_interval`` minibatches by a
-fixed step, up when the discriminator looks too confident on real data
-and down otherwise.
+ceiling ``t_current`` moves by a fixed step each time the caller closes
+the observation window (``update_t``; the trainer does so every
+``update_interval`` steps), up when the discriminator looks too
+confident on real data and down otherwise.
 
 Confidence is summarized by ``r_d``, the window average of
 ``sign(d - 0.5)`` over the discriminator's post-sigmoid outputs on
@@ -35,7 +36,6 @@ class TimestepPolicy:
     d_target: float = 0.6
     c_step: int = 2
     mode: str = "priority"
-    update_interval: int = 4
     t_current: int = field(init=False)
     explore_levels: np.ndarray = field(init=False)  # (EXPLORE_SIZE,) ints
     _sign_sum: float = field(init=False, default=0.0)
@@ -43,20 +43,17 @@ class TimestepPolicy:
 
     def __post_init__(self):
         check_policy_settings(self.t_min, self.t_max, self.d_target, self.c_step,
-                              self.mode, self.update_interval)
+                              self.mode)
         self.t_current = self.t_min
         self.explore_levels = np.zeros(EXPLORE_SIZE, dtype=np.int64)
 
 
-def check_policy_settings(t_min, t_max, d_target, c_step, mode,
-                          update_interval) -> None:
+def check_policy_settings(t_min, t_max, d_target, c_step, mode) -> None:
     """Raise ``ValueError`` unless the policy settings are in range."""
     if not (1 <= t_min <= t_max):
         raise ValueError(f"need 1 <= t_min <= t_max, got {t_min}, {t_max}")
     if c_step < 1:
         raise ValueError(f"c_step must be >= 1, got {c_step}")
-    if update_interval < 1:
-        raise ValueError(f"update_interval must be >= 1, got {update_interval}")
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if not math.isfinite(d_target) or not (-1.0 <= d_target <= 1.0):

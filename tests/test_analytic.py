@@ -183,6 +183,19 @@ class TestToyParamsAt:
         with pytest.raises(ValueError, match="theta must be finite"):
             ToyParams.at(theta, 200, SCHED)
 
+    @pytest.mark.parametrize("call", [
+        lambda s: ToyParams.at(0.4, 7, s),
+        lambda s: jsd_diffused(0.4, 7, s, method="quadrature"),
+        lambda s: jsd_diffused(0.4, 7, s, method="monte_carlo", n=100),
+        lambda s: optimal_discriminator(np.zeros(3), 0.4, 7, s),
+    ], ids=["at", "quadrature", "monte_carlo", "optimal_discriminator"])
+    def test_overflowing_noise_variance_names_t_and_sigma(self, call):
+        # sigma ** 2 overflows above about 1.34e154
+        huge = build_schedule(1000, 1e-4, 0.02, 1e300)
+        with pytest.raises(ValueError, match=r"t=7 with sigma=1e\+300 gives a non-finite"):
+            call(huge)
+        assert ToyParams.at(0.4, 7, build_schedule(1000, 1e-4, 0.02, 1e154)).b_t < math.inf
+
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])

@@ -324,12 +324,25 @@ class TestDiffuseDemo:
                     "--data-n", "10", "--t-list", "1001"]) == 1
 
 
+# deleted config keys: each one's old flag (with a value) and a value for
+# the config file
+DELETED_KNOBS = {
+    "lr_decay_to": (["--lr-decay-to", "0.5"], 0.5),
+    "beta2": (["--beta2", "0.99"], 0.99),
+    "adam_eps": (["--adam-eps", "1e-6"], 1e-6),
+}
+
+
 class TestBadInputsExitWithAMessage:
     @pytest.mark.parametrize("argv, message", [
         (["train", "--no-diffusion", "--update-interval", "0", *TRAIN_TINY],
          "update_interval"),
         (["train", "--no-diffusion", "--t-min", "0", *TRAIN_TINY], "t_min"),
         (["toy-disc", "--t-list", "5000", "--no-svg"], "t <= 1000"),
+        (["toy-jsd", "--sigma", "1e300", "--t-list", "1", "--no-svg"],
+         "t=1 with sigma=1e+300 gives a non-finite noise variance"),
+        (["toy-disc", "--sigma", "1e300", "--no-svg"],
+         "t=1 with sigma=1e+300 gives a non-finite noise variance"),
     ])
     def test_usage_error_not_traceback(self, tmp_path, capsys, argv, message):
         assert run([*argv, "--out", str(tmp_path / "o")]) == 1
@@ -354,7 +367,7 @@ class TestBadInputsExitWithAMessage:
 
     @pytest.mark.parametrize("doc, message", [
         ({"beta1": 5.0}, "beta1 must be in [0, 1)"),
-        ({"adam_eps": -1.0, "lr": 0.01}, "adam_eps must be finite and > 0"),
+        ({"update_interval": 0, "lr": 0.01}, "update_interval must be >= 1, got 0"),
         ({"lr": float("nan")}, "lr must be finite and >= 0"),
         ({"sigma": -1.0}, "sigma must be finite and > 0"),
     ])
@@ -367,15 +380,18 @@ class TestBadInputsExitWithAMessage:
         assert err.startswith("usage error:") and message in err
         assert not out.exists()     # rejected before anything ran
 
-    def test_no_learning_rate_decay(self, tmp_path, capsys):
-        # the learning rates are constant: no flag or config key decays them
+    @pytest.mark.parametrize("key", DELETED_KNOBS)
+    def test_no_learning_rate_decay(self, tmp_path, capsys, key):
+        # the learning rates are constant and Adam's beta2 and eps fixed:
+        # no flag or config key sets them
+        flag, value = DELETED_KNOBS[key]
         out = tmp_path / "o"
-        assert run(["train", "--lr-decay-to", "0.5", "--out", str(out), *TRAIN_TINY]) == 1
-        assert "unrecognized arguments: --lr-decay-to" in capsys.readouterr().err
+        assert run(["train", *flag, "--out", str(out), *TRAIN_TINY]) == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"lr_decay_to": 0.5}))
+        cfg.write_text(json.dumps({key: value}))
         assert run(["train", "--config", str(cfg), "--out", str(out), *TRAIN_TINY]) == 1
-        assert "unknown config keys: lr_decay_to" in capsys.readouterr().err
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
         assert not out.exists()     # rejected before anything ran
 
     @pytest.mark.parametrize("argv, message", [
@@ -463,7 +479,7 @@ class TestBadInputsExitWithAMessage:
 # every GanConfig field, each at a valid value other than its default
 NON_DEFAULT = dict(
     total_steps=7, batch_size=3, latent_dim=3, hidden=5, lr=0.5, lr_d=0.25,
-    beta1=0.25, beta2=0.5, adam_eps=1e-6, seed=9, diffusion_enabled=False,
+    beta1=0.25, seed=9, diffusion_enabled=False,
     sigma=0.5, t_max_cap=2000, beta_start=1e-3, beta_end=0.01, t_min=7,
     t_max=900, d_target=0.5, c_step=3, mode="uniform", update_interval=5,
     t_conditioned=False)

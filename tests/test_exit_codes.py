@@ -144,8 +144,7 @@ COMMANDS = {
                "--latent-dim": small(4, 1), "--data-n": small(64),
                "--sample-n": small(64)},
               {**SEED, **SCHEDULE, "--lr": RATE, "--lr-d": RATE,
-               "--beta1": UNIT, "--beta2": UNIT,
-               "--adam-eps": RATE, "--t-min": small(60), "--t-max": small(1200),
+               "--beta1": UNIT, "--t-min": small(60), "--t-max": small(1200),
                "--d-target": UNIT, "--c-step": small(5),
                "--update-interval": small(5),
                "--mode": st.sampled_from(["uniform", "priority", "greedy"]),

@@ -89,13 +89,11 @@ def replay_diffusion(dataset, cfg, n_steps):
     dim = dataset.shape[1]
     gen = init_dense([cfg.latent_dim, cfg.hidden, cfg.hidden, dim], rng)
     disc = init_dense([dim + 1, cfg.hidden, cfg.hidden, 1], rng)
-    opt_g = AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    opt_d = AdamState(cfg.lr if cfg.lr_d is None else cfg.lr_d,
-                      cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt_g = AdamState(cfg.lr, cfg.beta1)
+    opt_d = AdamState(cfg.lr if cfg.lr_d is None else cfg.lr_d, cfg.beta1)
     sched = build_schedule(cfg.t_max_cap, cfg.beta_start, cfg.beta_end, cfg.sigma)
     pol = init_policy(rng, t_min=cfg.t_min, t_max=cfg.t_max,
-                      d_target=cfg.d_target, c_step=cfg.c_step, mode=cfg.mode,
-                      update_interval=cfg.update_interval)
+                      d_target=cfg.d_target, c_step=cfg.c_step, mode=cfg.mode)
     m = cfg.batch_size
     rows = []
     win = []
@@ -192,9 +190,8 @@ def replay_vanilla(dataset, cfg, n_steps):
     dim = dataset.shape[1]
     gen = init_dense([cfg.latent_dim, cfg.hidden, cfg.hidden, dim], rng)
     disc = init_dense([dim + 1, cfg.hidden, cfg.hidden, 1], rng)
-    opt_g = AdamState(cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    opt_d = AdamState(cfg.lr if cfg.lr_d is None else cfg.lr_d,
-                      cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt_g = AdamState(cfg.lr, cfg.beta1)
+    opt_d = AdamState(cfg.lr if cfg.lr_d is None else cfg.lr_d, cfg.beta1)
     m = cfg.batch_size
     zeros = np.zeros(m, dtype=np.int64)
     for _ in range(n_steps):
@@ -317,10 +314,10 @@ class TestInitValidation:
     @pytest.mark.parametrize("kw", [
         dict(total_steps=-1), dict(batch_size=0), dict(latent_dim=0),
         dict(hidden=0), dict(lr=-1e-3), dict(lr_d=-1e-3),
-        dict(beta1=1.0), dict(beta2=1.0), dict(adam_eps=0.0), dict(lr=float("nan")),
+        dict(beta1=1.0), dict(t_max_cap=0), dict(beta_start=0.0), dict(lr=float("nan")),
         dict(t_max=60, t_max_cap=50),
-        dict(lr_d=float("inf")), dict(beta1=5.0), dict(beta2=-1.0),
-        dict(adam_eps=-1.0, lr=0.01), dict(adam_eps=float("nan")),
+        dict(lr_d=float("inf")), dict(beta1=5.0), dict(sigma=0.0),
+        dict(lr_d=float("nan")), dict(beta_start=float("nan")),
         dict(sigma=-1.0), dict(sigma=float("inf")),
         dict(beta_start=0.5, beta_end=0.1), dict(beta_end=1.0),
     ])

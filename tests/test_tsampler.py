@@ -208,7 +208,6 @@ class TestPolicyValidation:
         dict(t_min=0, t_max=10),
         dict(t_min=11, t_max=10),
         dict(t_min=1, t_max=5, c_step=0),
-        dict(t_min=1, t_max=5, update_interval=0),
         dict(t_min=1, t_max=5, mode="other"),
         dict(t_min=1, t_max=5, d_target=1.5),
         dict(t_min=1, t_max=5, d_target=float("nan")),
