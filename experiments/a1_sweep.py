@@ -15,7 +15,7 @@ cores), for example:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python experiments/a1_sweep.py \\
         rows.jsonl --seeds 4 5 6 --overrides '{"lr_d": 4e-3}' \\
-        '{"lr_d": 4e-3, "beta2": 0.99}'
+        '{"lr_d": 4e-3, "beta1": 0.0}'
 
 Seeds 1-3 are A1's; tune on others.
 """

@@ -67,9 +67,10 @@ class ToyParams:
             b_t = (1.0 - abar) * schedule.sigma ** 2
         except OverflowError:       # sigma above sqrt of the largest float
             b_t = math.inf
-        if not b_t < math.inf:
+        # the quadrature squares up to (8 std)^2 = 64 b_t, above the normalizer 2 pi b_t
+        if not _SPAN_SIGMAS ** 2 * b_t < math.inf:
             raise ValueError(f"level t={t} with sigma={schedule.sigma} gives a "
-                             "non-finite noise variance")
+                             "non-finite noise variance or squared 8-std span")
         if not b_t > 0.0:
             raise ValueError(f"degenerate level t={t}: zero noise variance")
         return cls(theta, int(t), schedule, a_t, b_t)
@@ -251,14 +252,14 @@ def optimal_discriminator(y, theta: float, t: int,
                           schedule: DiffusionSchedule) -> np.ndarray:
     """Pointwise Bayes-optimal discriminator p / (p + q) on the noised pair.
 
-    Returns 0.5 everywhere when theta == 0 and exactly 0.5 at the
-    midpoint between the two means in general.
+    Returns 0.5 everywhere when theta == 0, exactly 0.5 at the midpoint
+    between the two means in general, and no nan for a finite y.
     """
     p = ToyParams.at(theta, t, schedule)
-    y = np.asarray(y, dtype=np.float64)
-    lp = _log_pdf(y, 0.0, p.b_t)
-    lq = _log_pdf(y, p.a_t * p.theta, p.b_t)
-    return np.exp(-np.logaddexp(0.0, lq - lp))   # sigmoid(lp - lq)
+    mu = p.a_t * p.theta
+    # log q - log p, linear in y: no square or normalizer to overflow
+    log_q_over_p = mu * (np.asarray(y, dtype=np.float64) - 0.5 * mu) / p.b_t
+    return np.exp(-np.logaddexp(0.0, log_q_over_p))   # sigmoid(log p - log q)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ gradient's differences stack nudged copies of the input batch the same
 way.  ``net.flat`` and the input batch are only read.
 
 Each copy's loss is bit for bit the loss that nudging ``net.flat`` in
-place and rerunning the 2-d pass gives (``fd_on_coords``, kept as the
+place and rerunning the 2-d pass gives (the tests keep that loop as the
 reference).  NumPy's stacked matmul makes one gemm per copy, on the same
 operands and strides as the 2-d call; everything else is elementwise;
 and each copy's loss reduces one contiguous row, in the same order as
@@ -51,6 +51,9 @@ from .schedule import DiffusionSchedule
 
 _MARGIN = 5e-4
 _MAX_REDRAW = 200
+_BATCH = 8          # rows of a check's batch
+_PER_LAYER = 64     # coordinates audited per parameter array
+_SCALE = 0.5        # a random net's parameters are uniform in [-_SCALE, _SCALE]
 # Nudged copies per stacked pass, two per coordinate.  On the A5 suite
 # with one BLAS thread, 8, 16 and 32 copies took 2.2, 2.1 and 1.8 s
 # (6.9 s one coordinate at a time) and raised peak memory by 1.5, 2.7 and
@@ -65,11 +68,11 @@ DISC_SIZES = [3, 128, 128, 1]
 SMALL_SIZES = ([2, 8, 8, 1], [3, 8, 8, 1], [2, 16, 2])
 
 
-def random_net(sizes, rng: np.random.Generator, scale: float = 0.5) -> DenseNet:
-    """Net with every parameter uniform in [-scale, scale]."""
-    weights = [rng.uniform(-scale, scale, (o, i))
+def random_net(sizes, rng: np.random.Generator) -> DenseNet:
+    """Net with every parameter uniform in [-_SCALE, _SCALE]."""
+    weights = [rng.uniform(-_SCALE, _SCALE, (o, i))
                for i, o in zip(sizes[:-1], sizes[1:])]
-    biases = [rng.uniform(-scale, scale, o) for o in sizes[1:]]
+    biases = [rng.uniform(-_SCALE, _SCALE, o) for o in sizes[1:]]
     return DenseNet(weights, biases)
 
 
@@ -88,24 +91,6 @@ def pick_coords(net: DenseNet, rng: np.random.Generator, per_layer: int):
         coords.extend(offset + int(i) for i in idx)
         offset += p.size
     return sorted(coords)
-
-
-def fd_on_coords(loss_fn, net: DenseNet, coords, h: float = 1e-5) -> np.ndarray:
-    """Central differences of ``loss_fn()`` along the given coordinates of
-    ``net.flat``, nudging one entry at a time in place and restoring it."""
-    flat = net.flat
-    out = np.empty(len(coords))
-    for j, c in enumerate(coords):
-        keep = flat[c]
-        try:
-            flat[c] = keep + h
-            up = loss_fn()
-            flat[c] = keep - h
-            down = loss_fn()
-        finally:
-            flat[c] = keep
-        out[j] = (up - down) / (2.0 * h)
-    return out
 
 
 def _central(losses_of, base: np.ndarray, idx, h: float) -> np.ndarray:
@@ -159,7 +144,7 @@ def _losses_of_nudged(objective, net: DenseNet, j: int, x: np.ndarray):
 
 def fd_stacked(objective, net: DenseNet, inputs, coords, h: float = 1e-5) -> np.ndarray:
     """Central differences along the given coordinates of ``net.flat``,
-    bit for bit those of ``fd_on_coords`` on the same objective.
+    bit for bit those of nudging ``net.flat`` in place one at a time.
 
     ``objective`` maps the net's output, an (n, d) batch or a stack
     (k, n, d) of them, to its loss: a float, or one loss per copy.
@@ -191,13 +176,12 @@ def _clear(*preact_lists) -> bool:
     return all(np.abs(z).min() > _MARGIN for zs in preact_lists for z in zs)
 
 
-def check_isolated(sizes, seed: int, n: int = 8, per_layer: int = 64,
-                   h: float = 1e-5) -> float:
+def check_isolated(sizes, seed: int, h: float = 1e-5) -> float:
     """Max relative error of isolated net gradients (params and input)."""
     rng = np.random.default_rng(seed)
     net = random_net(sizes, rng)
     for _ in range(_MAX_REDRAW):
-        x = rng.uniform(-2.0, 2.0, (n, sizes[0]))
+        x = rng.uniform(-2.0, 2.0, (_BATCH, sizes[0]))
         out, cache = forward(net, x)
         if _clear(cache.preacts[:-1]):   # last layer is affine, no kink
             break
@@ -209,7 +193,7 @@ def check_isolated(sizes, seed: int, n: int = 8, per_layer: int = 64,
         return weighted_sum(coefs, out)
 
     analytic, x_grad = backward(net, cache, coefs)
-    coords = pick_coords(net, rng, per_layer)
+    coords = pick_coords(net, rng, _PER_LAYER)
     fd = fd_stacked(objective, net, cache.inputs, coords, h)
     # input gradient, same scalar, differentiated through x
     fd_x = _central(lambda xs: objective(forward(net, xs, cache=False)[0]),
@@ -218,8 +202,7 @@ def check_isolated(sizes, seed: int, n: int = 8, per_layer: int = 64,
                    np.concatenate([fd, fd_x]))
 
 
-def check_gen_path(schedule: DiffusionSchedule, t: int, seed: int, n: int = 8,
-                   per_layer: int = 64, h: float = 1e-5,
+def check_gen_path(schedule: DiffusionSchedule, t: int, seed: int, h: float = 1e-5,
                    t_conditioned: bool = True) -> float:
     """Max relative error of the trainer's generator gradient
     (``trainer.generator_grads``) against central differences of the
@@ -229,11 +212,11 @@ def check_gen_path(schedule: DiffusionSchedule, t: int, seed: int, n: int = 8,
     rng = np.random.default_rng(seed)
     gen = random_net(GEN_SIZES, rng)
     disc = random_net(DISC_SIZES, rng)
-    t_arr = np.full(n, t, dtype=np.int64)
+    t_arr = np.full(_BATCH, t, dtype=np.int64)
 
     for _ in range(_MAX_REDRAW):
-        z = rng.standard_normal((n, GEN_SIZES[0]))
-        eps = rng.standard_normal((n, GEN_SIZES[-1]))
+        z = rng.standard_normal((_BATCH, GEN_SIZES[0]))
+        eps = rng.standard_normal((_BATCH, GEN_SIZES[-1]))
         _, analytic, (gcache, dcache) = trainer.generator_grads(
             gen, disc, z, t_arr, eps, schedule, t_conditioned)
         if _clear(gcache.preacts[:-1], dcache.preacts[:-1]):
@@ -241,7 +224,7 @@ def check_gen_path(schedule: DiffusionSchedule, t: int, seed: int, n: int = 8,
     else:
         raise RuntimeError("could not draw a batch clear of activation kinks")
 
-    coords = pick_coords(gen, rng, per_layer)
+    coords = pick_coords(gen, rng, _PER_LAYER)
     fd = fd_stacked(lambda out: trainer.generator_objective(
                         disc, out, t_arr, eps, schedule, t_conditioned),
                     gen, gcache.inputs, coords, h)

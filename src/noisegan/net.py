@@ -9,21 +9,15 @@ gradients plus the gradient with respect to the network input
 gradient is wanted).  Hidden layers use leaky ReLU; the final layer is
 affine (losses apply their own link).
 
-``leaky_relu`` computes the activation without a branch: each hidden
-layer's slope ``s`` is exactly 1.0 where ``z >= 0`` and exactly ``leak``
-elsewhere (``leak + (1 - leak)`` rounds to 1.0 for every leak in [0, 1],
-the only leaks a net accepts), so ``z * s`` equals
-``np.where(z >= 0, z, leak * z)`` bit for bit, signed zeros, infinities
-and nans included.  ``backward`` multiplies by the cached slopes instead
-of recomputing them.  A cache-free ``forward`` with ``leak > 0`` builds
-no slope array: it takes ``h = maximum(z, leak * z)``, two passes
-instead of five.  For a leak in (0, 1], ``leak * z`` is ``z`` scaled
-towards zero, so the larger of the two is ``z`` where ``z >= 0`` and
-``leak * z`` elsewhere, which are the two products ``z * s`` picks.
-Where they tie (signed zeros, infinities, leak 1) both operands carry
-the same bits, and a nan ``z`` gives a nan ``leak * z`` with its bits.
-At ``leak == 0`` this fails, since ``inf * 0`` is nan, so that leak
-keeps ``leaky_relu``.
+Every hidden layer's slope below zero is ``LEAK`` = 0.2.  ``leaky_relu``
+takes no branch: its slope ``s`` is exactly 1.0 where ``z >= 0`` and
+exactly ``LEAK`` elsewhere, so ``z * s`` equals
+``np.where(z >= 0, z, LEAK * z)`` bit for bit, signed zeros, infinities
+and nans included, and ``backward`` multiplies by the cached slopes.  A
+cache-free ``forward`` builds no slope array: ``maximum(z, LEAK * z)``
+picks the same two products in two passes instead of five (``LEAK * z``
+is ``z`` scaled towards zero; where they tie both carry the same bits,
+and a nan ``z`` gives a nan ``LEAK * z`` with its bits).
 
 A cache-free ``forward`` also takes a stack of batches (..., n,
 fan_in), and ``forward_from`` finishes one from a layer's
@@ -55,6 +49,10 @@ import numpy as np
 
 _BOUND = ("weights", "biases", "flat")   # DenseNet attributes that view flat
 
+LEAK = 0.2      # slope of every hidden layer's leaky ReLU below zero
+BETA2 = 0.999   # Adam's second-moment decay
+EPS = 1e-8      # Adam's denominator guard
+
 
 @dataclass
 class DenseNet:
@@ -68,12 +66,9 @@ class DenseNet:
 
     weights: tuple   # (np.ndarray (fan_out, fan_in), ...) views into flat
     biases: tuple    # (np.ndarray (fan_out,), ...) views into flat
-    leak: float = 0.2
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.leak <= 1.0:
-            raise ValueError(f"leak must be in [0, 1], got {self.leak}")
         weights = [np.asarray(w, dtype=np.float64) for w in self.weights]
         biases = [np.asarray(b, dtype=np.float64) for b in self.biases]
         if not weights or len(weights) != len(biases):
@@ -108,7 +103,7 @@ class DenseNet:
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through __init__, so the copy
         # gets its own flat vector with fresh views into it
-        return (DenseNet, (list(self.weights), list(self.biases), self.leak))
+        return (DenseNet, (list(self.weights), list(self.biases)))
 
     @property
     def sizes(self) -> list:
@@ -121,7 +116,7 @@ class ForwardCache:
     """What ``backward`` needs from a ``forward`` call."""
     inputs: list     # input to each layer (post-activation of the previous one)
     preacts: list    # affine outputs z of each layer
-    slopes: list     # leaky-ReLU slope (1.0 or leak) of each hidden layer
+    slopes: list     # leaky-ReLU slope (1.0 or LEAK) of each hidden layer
 
 
 @dataclass
@@ -129,10 +124,8 @@ class AdamState:
     """Adam settings and moments; ``m`` and ``v`` are flat vectors laid out
     like ``net.flat`` (``None`` until the first step)."""
 
-    lr: float = 1e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
-    eps: float = 1e-8
+    lr: float
+    beta1: float
     step: int = 0
     m: np.ndarray = None
     v: np.ndarray = None
@@ -140,7 +133,7 @@ class AdamState:
     _work: tuple = field(default=None, repr=False, compare=False)
 
 
-def init_dense(sizes, rng: np.random.Generator, leak: float = 0.2) -> DenseNet:
+def init_dense(sizes, rng: np.random.Generator) -> DenseNet:
     """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise ValueError(f"sizes needs >= 2 positive entries, got {sizes}")
@@ -149,7 +142,7 @@ def init_dense(sizes, rng: np.random.Generator, leak: float = 0.2) -> DenseNet:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return DenseNet(weights, biases, leak)
+    return DenseNet(weights, biases)
 
 
 def _views(layout, vec: np.ndarray) -> list:
@@ -204,7 +197,7 @@ def forward_from(net: DenseNet, layer: int, z: np.ndarray) -> np.ndarray:
     for bit that of ``forward(net, x, cache=False)`` on the input that
     leads to ``z``.
     """
-    h = z if layer == len(net.weights) - 1 else _hidden(z, net.leak, None)
+    h = z if layer == len(net.weights) - 1 else _hidden(z, None)
     return _layers(net, h, layer + 1, None)
 
 
@@ -217,33 +210,31 @@ def _layers(net: DenseNet, h: np.ndarray, start: int, kept):
         if kept is not None:
             kept.inputs.append(h)
             kept.preacts.append(z)
-        h = z if i == last else _hidden(z, net.leak, kept)
+        h = z if i == last else _hidden(z, kept)
     return h
 
 
-def _hidden(z: np.ndarray, leak: float, kept) -> np.ndarray:
+def _hidden(z: np.ndarray, kept) -> np.ndarray:
     """A hidden layer's activation; its slope goes to ``kept`` if given."""
-    if kept is None and leak:
+    if kept is None:
         # no slopes to keep: the two-op form (see the module docstring)
-        h = z * leak
+        h = z * LEAK
         np.maximum(z, h, out=h)
         return h
-    h, s = leaky_relu(z, leak)
-    if kept is not None:
-        kept.slopes.append(s)
+    h, s = leaky_relu(z)
+    kept.slopes.append(s)
     return h
 
 
-def leaky_relu(z: np.ndarray, leak: float):
+def leaky_relu(z: np.ndarray):
     """``(h, s)``: the leaky ReLU of ``z`` and its slope, without a branch.
 
-    ``s`` is exactly 1.0 where ``z >= 0`` and exactly ``leak`` elsewhere,
-    and ``h = z * s`` equals ``np.where(z >= 0, z, leak * z)`` bit for
-    bit, for any leak in [0, 1].
+    ``s`` is exactly 1.0 where ``z >= 0`` and exactly ``LEAK`` elsewhere,
+    and ``h = z * s`` equals ``np.where(z >= 0, z, LEAK * z)`` bit for bit.
     """
     s = (z >= 0.0).astype(np.float64)
-    s *= 1.0 - leak
-    s += leak
+    s *= 1.0 - LEAK
+    s += LEAK
     return z * s, s
 
 
@@ -291,7 +282,7 @@ def adam_step(net: DenseNet, grads: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update of ``net.flat``, in place.
 
     ``grads`` is a vector laid out like ``net.flat``, as ``backward``
-    returns it.  update = lr * m_hat / (sqrt(v_hat) + eps); zero
+    returns it.  update = lr * m_hat / (sqrt(v_hat) + EPS); zero
     gradients leave the parameters unchanged while still advancing the
     step counter.
     """
@@ -307,14 +298,14 @@ def adam_step(net: DenseNet, grads: np.ndarray, state: AdamState) -> None:
         raise ValueError(f"Adam moments of shape {state.m.shape} belong to "
                          f"another net than this {p.shape}")
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = state.beta1, BETA2
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     m, v, g = state.m, state.v, grads
     step, denom = state._work
     # same operation order as the textbook, over the whole net at once:
     # m = b1 m + ((1-b1) g); v = b2 v + ((1-b2) g) g;
-    # p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+    # p -= (lr (m / bc1)) / (sqrt(v / bc2) + EPS)
     np.multiply(g, 1.0 - b1, out=step)
     m *= b1
     m += step
@@ -324,7 +315,7 @@ def adam_step(net: DenseNet, grads: np.ndarray, state: AdamState) -> None:
     v += step
     np.divide(v, bc2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += EPS
     np.divide(m, bc1, out=step)
     step *= state.lr
     step /= denom
@@ -359,7 +350,7 @@ def cond_input(y: np.ndarray, t, t_norm: int, out: np.ndarray = None) -> np.ndar
 def save_net(net: DenseNet, path) -> None:
     """Checkpoint to JSON (floats round-trip exactly via repr)."""
     doc = {
-        "leak": net.leak,
+        "leak": LEAK,
         "sizes": net.sizes,
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
@@ -370,11 +361,14 @@ def save_net(net: DenseNet, path) -> None:
 
 
 def load_net(path) -> DenseNet:
+    """Read a ``save_net`` checkpoint; its leak must be ``LEAK``."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if doc["leak"] != LEAK:
+        raise ValueError(f"checkpoint leak {doc['leak']!r} is not {LEAK}")
     weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
     biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-    net = DenseNet(weights, biases, float(doc["leak"]))
+    net = DenseNet(weights, biases)
     if net.sizes != list(doc["sizes"]):
         raise ValueError(f"checkpoint sizes {doc['sizes']} do not match arrays {net.sizes}")
     return net

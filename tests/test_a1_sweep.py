@@ -4,6 +4,9 @@ rerun skips the rows already written."""
 import importlib.util
 import json
 import pathlib
+import re
+
+from noisegan.trainer import config_from_dict
 
 SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "experiments" / "a1_sweep.py"
 _spec = importlib.util.spec_from_file_location("a1_sweep", SCRIPT)
@@ -28,3 +31,10 @@ def test_rerun_appends_nothing(tmp_path):
         assert (r["peak_t"] >= 5) if r["arm"] == "noising" else (r["peak_t"] == 0)
     assert a1_sweep.sweep(out, overrides, (4, 5)) == 0
     assert out.read_text() == first
+
+
+def test_docstring_overrides_are_valid_configs():
+    examples = re.findall(r"'(\{.*?\})'", a1_sweep.__doc__)
+    assert len(examples) == 2
+    for text in examples:
+        config_from_dict(json.loads(text)).validate()

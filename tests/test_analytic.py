@@ -501,6 +501,17 @@ class TestOptimalDiscriminator:
         y = np.zeros((3, 2))
         assert optimal_discriminator(y, 0.2, 50, SCHED).shape == (3, 2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_finite_at_every_finite_input(self):
+        # y whose square overflows, at the default sigma and at a sigma
+        # with b_1 = 1.7e304: the log-ratio squares nothing
+        big = build_schedule(1000, 1e-4, 0.02, 1.3e154)
+        assert np.array_equal(optimal_discriminator([-1e300, 1e300], 0.5, 50, SCHED),
+                              [1.0, 0.0])
+        out = optimal_discriminator([-1e300, 0.0, 1e300], 0.5, 1, big)
+        assert out[0] > 0.5 > out[2] and np.all(np.isfinite(out))
+        assert float(optimal_discriminator(0.0, 0.0, 1, big)) == 0.5
+
 
 def random_spec(rng, k=4, levels=3):
     def rows(n):

@@ -343,6 +343,12 @@ class TestBadInputsExitWithAMessage:
          "t=1 with sigma=1e+300 gives a non-finite noise variance"),
         (["toy-disc", "--sigma", "1e300", "--no-svg"],
          "t=1 with sigma=1e+300 gives a non-finite noise variance"),
+        # b_t is finite, but its 8-std span squared is not
+        (["toy-jsd", "--sigma", "1.3e154", "--t-list", "1,1000", "--theta-steps", "2",
+          "--no-svg"], "t=1000 with sigma=1.3e+154 gives a non-finite noise variance "
+                       "or squared 8-std span"),
+        (["toy-disc", "--sigma", "1.3e154", "--t-list", "1000", "--y-steps", "3",
+          "--no-svg"], "t=1000 with sigma=1.3e+154 gives a non-finite"),
     ])
     def test_usage_error_not_traceback(self, tmp_path, capsys, argv, message):
         assert run([*argv, "--out", str(tmp_path / "o")]) == 1

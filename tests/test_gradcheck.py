@@ -7,7 +7,8 @@ gradient in the trainer therefore fails the audit.
 
 The stacked finite differences are checked bit for bit against the
 one-coordinate reference ``fd_on_coords``, and the checks' errors
-against the checks as they ran before stacking (``reference_*`` below).
+against the checks as they ran before stacking (``reference_*``), all
+kept below.
 """
 
 import numpy as np
@@ -16,8 +17,8 @@ import pytest
 from noisegan import gradcheck, trainer
 from noisegan.gradcheck import (DISC_SIZES, GEN_SIZES, SMALL_SIZES, _central,
                                 _clear, check_gen_path, check_isolated,
-                                fd_on_coords, fd_stacked, pick_coords, random_net,
-                                rel_err, run_suite, weighted_sum)
+                                fd_stacked, pick_coords, random_net, rel_err,
+                                run_suite, weighted_sum)
 from noisegan.net import backward, forward
 from noisegan.schedule import build_schedule
 
@@ -32,24 +33,44 @@ def same_bits(a, b) -> bool:
             and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 
-def isolated_case(sizes, seed, n=8):
+def fd_on_coords(loss_fn, net, coords, h=H) -> np.ndarray:
+    """Central differences of ``loss_fn()`` along the given coordinates of
+    ``net.flat``, nudging one entry at a time in place and restoring it:
+    the one-coordinate reference for ``fd_stacked``."""
+    flat = net.flat
+    out = np.empty(len(coords))
+    for j, c in enumerate(coords):
+        keep = flat[c]
+        try:
+            flat[c] = keep + h
+            up = loss_fn()
+            flat[c] = keep - h
+            down = loss_fn()
+        finally:
+            flat[c] = keep
+        out[j] = (up - down) / (2.0 * h)
+    return out
+
+
+def isolated_case(sizes, seed):
     """``check_isolated``'s draws: net, batch, its forward cache, output
     coefficients and the audited coordinates."""
     rng = np.random.default_rng(seed)
     net = random_net(sizes, rng)
     while True:
-        x = rng.uniform(-2.0, 2.0, (n, sizes[0]))
+        x = rng.uniform(-2.0, 2.0, (gradcheck._BATCH, sizes[0]))
         out, cache = forward(net, x)
         if _clear(cache.preacts[:-1]):
             break
     coefs = rng.uniform(-1.0, 1.0, out.shape)
-    return net, x, cache, coefs, pick_coords(net, rng, 64)
+    return net, x, cache, coefs, pick_coords(net, rng, gradcheck._PER_LAYER)
 
 
-def path_case(t, seed, t_conditioned, n=8):
+def path_case(t, seed, t_conditioned):
     """``check_gen_path``'s draws and analytic side."""
     rng = np.random.default_rng(seed)
     gen, disc = random_net(GEN_SIZES, rng), random_net(DISC_SIZES, rng)
+    n = gradcheck._BATCH
     t_arr = np.full(n, t, dtype=np.int64)
     while True:
         z = rng.standard_normal((n, GEN_SIZES[0]))
@@ -58,7 +79,8 @@ def path_case(t, seed, t_conditioned, n=8):
             gen, disc, z, t_arr, eps, SCHEDULE, t_conditioned)
         if _clear(gcache.preacts[:-1], dcache.preacts[:-1]):
             break
-    return gen, disc, z, t_arr, eps, analytic, gcache, pick_coords(gen, rng, 64)
+    coords = pick_coords(gen, rng, gradcheck._PER_LAYER)
+    return gen, disc, z, t_arr, eps, analytic, gcache, coords
 
 
 def reference_isolated(sizes, seed):

@@ -11,7 +11,8 @@ from noisegan import (AdamState, DenseNet, adam_step, backward, cond_input,
                       forward, init_dense, load_net, param_views, parameters,
                       save_net)
 from noisegan.net import forward_from, leaky_relu
-from noisegan.gradcheck import check_isolated, fd_on_coords, pick_coords, rel_err
+from noisegan.gradcheck import check_isolated, pick_coords, rel_err
+from test_gradcheck import fd_on_coords
 
 
 def tiny_net():
@@ -19,7 +20,6 @@ def tiny_net():
     return DenseNet(
         weights=[np.array([[1.0, -1.0], [0.5, 2.0]]), np.array([[2.0, -1.0]])],
         biases=[np.array([0.0, -1.0]), np.array([0.5])],
-        leak=0.2,
     )
 
 
@@ -123,7 +123,7 @@ class TestAdam:
         rng = np.random.default_rng(6)
         net = init_dense([2, 4, 1], rng)
         before = [p.copy() for p in parameters(net)]
-        state = AdamState(lr=0.1)
+        state = AdamState(lr=0.1, beta1=0.5)
         adam_step(net, np.zeros_like(net.flat), state)
         assert state.step == 1
         assert all(np.array_equal(a, b) for a, b in zip(parameters(net), before))
@@ -131,7 +131,7 @@ class TestAdam:
     def test_first_step_scalar_frozen(self):
         # p=1, g=2, lr=0.1: bias corrections cancel, p' = 1 - 0.1*2/(2+1e-8)
         net = DenseNet([np.array([[1.0]])], [np.array([0.0])])
-        state = AdamState(lr=0.1, beta1=0.5, beta2=0.999, eps=1e-8)
+        state = AdamState(lr=0.1, beta1=0.5)
         adam_step(net, np.array([2.0, 0.0]), state)
         assert net.weights[0][0, 0] == pytest.approx(0.9000000005, rel=1e-15, abs=0.0)
 
@@ -139,7 +139,7 @@ class TestAdam:
         # independent reimplementation of the update equations, 5 steps
         rng = np.random.default_rng(7)
         net = init_dense([2, 3, 1], rng)
-        state = AdamState(lr=0.01, beta1=0.5, beta2=0.999, eps=1e-8)
+        state = AdamState(lr=0.01, beta1=0.5)
         ref = [p.copy() for p in parameters(net)]
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
@@ -158,7 +158,7 @@ class TestAdam:
     def test_rejects_misaligned_grads(self):
         rng = np.random.default_rng(8)
         net = init_dense([2, 3, 1], rng)
-        state = AdamState()
+        state = AdamState(lr=1e-4, beta1=0.5)
         with pytest.raises(ValueError):
             adam_step(net, [np.zeros((3, 2))], state)
 
@@ -182,11 +182,10 @@ class TestInitAndCheckpoint:
 
     def test_roundtrip_is_exact(self, tmp_path):
         rng = np.random.default_rng(11)
-        net = init_dense([2, 16, 16, 2], rng, leak=0.2)
+        net = init_dense([2, 16, 16, 2], rng)
         path = tmp_path / "net.json"
         save_net(net, path)
         back = load_net(path)
-        assert back.leak == net.leak
         assert all(np.array_equal(a, b)
                    for a, b in zip(parameters(back), parameters(net)))
 
@@ -211,7 +210,7 @@ class TestCondInput:
 
 # ---------------------------------------------------- bitwise reference
 
-def ref_forward(net, x):
+def ref_forward(net, x, leak):
     """Textbook forward: leaky ReLU by ``np.where``, one fresh array per op."""
     inputs, preacts = [], []
     h = np.asarray(x, dtype=np.float64)
@@ -220,11 +219,11 @@ def ref_forward(net, x):
         inputs.append(h)
         z = h @ w.T + b
         preacts.append(z)
-        h = z if i == last else np.where(z >= 0.0, z, net.leak * z)
+        h = z if i == last else np.where(z >= 0.0, z, leak * z)
     return h, inputs, preacts
 
 
-def ref_backward(net, inputs, preacts, out_grad):
+def ref_backward(net, inputs, preacts, out_grad, leak):
     """Textbook backward: the slope is rebuilt from the pre-activation."""
     n_layers = len(net.weights)
     grads = [None] * (2 * n_layers)
@@ -234,7 +233,7 @@ def ref_backward(net, inputs, preacts, out_grad):
         grads[2 * i + 1] = delta.sum(axis=0)
         x_grad = delta @ net.weights[i]
         if i > 0:
-            delta = x_grad * np.where(preacts[i - 1] >= 0.0, 1.0, net.leak)
+            delta = x_grad * np.where(preacts[i - 1] >= 0.0, 1.0, leak)
     return grads, x_grad
 
 
@@ -271,8 +270,7 @@ def batch_with_specials(rng, n, width):
     return x
 
 
-LEAKS = [0.0, 0.2, 1.0, 0.5, np.nextafter(0.5, 0.0), 5e-324, 1e-17, 1.0 - 2.0 ** -53,
-         0.7, 0.999]
+LEAKS = [0.2]   # the one leak a net has
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf and nan inputs
@@ -282,38 +280,34 @@ class TestBitwiseReference:
     @pytest.mark.parametrize("leak", LEAKS)
     def test_leaky_relu(self, leak):
         z = np.concatenate([SPECIALS, np.random.default_rng(19).standard_normal(50)])
-        h, s = leaky_relu(z, leak)
+        h, s = leaky_relu(z)
         assert same_bits(h, np.where(z >= 0.0, z, leak * z))
         assert same_bits(s, np.where(z >= 0.0, 1.0, leak))
 
-    def test_leaky_relu_slope_is_exact_for_random_leaks(self):
-        leaks = np.random.default_rng(18).random(100_000)
-        assert np.all(leaks + (1.0 - leaks) == 1.0)
-
-    @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("leak", LEAKS)
     def test_special_preactivations(self, leak):
         # layer 0 copies its one input to every unit (weight 1, bias -0.0),
         # so the hidden pre-activations are exactly the special values
         width = 6
         rng = np.random.default_rng(20)
         net = DenseNet([np.ones((width, 1)), rng.uniform(-1, 1, (2, width))],
-                       [np.full(width, -0.0), np.zeros(2)], leak)
+                       [np.full(width, -0.0), np.zeros(2)])
         x = SPECIALS[:, None]
         out, cache = forward(net, x)
-        want, inputs, preacts = ref_forward(net, x)
+        want, inputs, preacts = ref_forward(net, x, leak)
         # the matmul turns -0.0 into +0.0; test_leaky_relu covers -0.0
         assert np.array_equal(cache.preacts[0][:, 0], SPECIALS, equal_nan=True)
         assert same_bits(cache.inputs[1], inputs[1])
         assert same_bits(out, want)
         g = rng.standard_normal(out.shape)
         grads, x_grad = backward(net, cache, g)
-        rgrads, rx_grad = ref_backward(net, inputs, preacts, g)
+        rgrads, rx_grad = ref_backward(net, inputs, preacts, g, leak)
         assert all(same_bits(a, b) for a, b in zip(param_views(net, grads), rgrads))
         assert same_bits(x_grad, rx_grad)
 
     @pytest.mark.parametrize("leak", LEAKS)
     def test_cache_free_forward(self, leak):
-        # the two-op activation of a cache-free forward, at every leak:
+        # the two-op activation of a cache-free forward:
         # hidden pre-activations that are exactly the special values (the
         # positive weights after them carry infinities through to the
         # output), then random nets on batches laced with them
@@ -321,30 +315,29 @@ class TestBitwiseReference:
         width = 6
         net = DenseNet([np.ones((width, 1)), rng.uniform(0.5, 1, (width, width)),
                         np.ones((1, width))],
-                       [np.full(width, -0.0), rng.uniform(-1, 1, width), np.zeros(1)],
-                       leak)
+                       [np.full(width, -0.0), rng.uniform(-1, 1, width), np.zeros(1)])
         for x in (SPECIALS[:, None], batch_with_specials(rng, 40, 1)):
             out, none = forward(net, x, cache=False)
-            assert none is None and same_bits(out, ref_forward(net, x)[0])
+            assert none is None and same_bits(out, ref_forward(net, x, leak)[0])
         for sizes in ([3, 16, 16, 2], [2, 128, 128, 1]):
-            net = init_dense(sizes, rng, leak=leak)
+            net = init_dense(sizes, rng)
             for b in net.biases:
                 b[...] = rng.uniform(-0.5, 0.5, b.shape)
             x = batch_with_specials(rng, 33, sizes[0])
-            assert same_bits(forward(net, x, cache=False)[0], ref_forward(net, x)[0])
+            assert same_bits(forward(net, x, cache=False)[0], ref_forward(net, x, leak)[0])
 
-    @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0])
+    @pytest.mark.parametrize("leak", LEAKS)
     @pytest.mark.parametrize("sizes", [[3, 16, 16, 2], [2, 128, 128, 1], [4, 5]])
     def test_forward_and_backward(self, leak, sizes):
         rng = np.random.default_rng(21)
         for trial in range(3):
-            net = init_dense(sizes, rng, leak=leak)
+            net = init_dense(sizes, rng)
             for b in net.biases:
                 b[...] = rng.uniform(-0.5, 0.5, b.shape)
             x = (batch_with_specials(rng, 33, sizes[0]) if trial
                  else rng.standard_normal((33, sizes[0])))
             out, cache = forward(net, x)
-            want, inputs, preacts = ref_forward(net, x)
+            want, inputs, preacts = ref_forward(net, x, leak)
             assert same_bits(out, want)
             uncached, none = forward(net, x, cache=False)
             assert none is None and same_bits(uncached, want)
@@ -352,7 +345,7 @@ class TestBitwiseReference:
             assert all(same_bits(a, b) for a, b in zip(cache.preacts, preacts))
             g = rng.standard_normal(out.shape)
             grads, x_grad = backward(net, cache, g)
-            rgrads, rx_grad = ref_backward(net, inputs, preacts, g)
+            rgrads, rx_grad = ref_backward(net, inputs, preacts, g, leak)
             assert all(same_bits(a, b) for a, b in zip(param_views(net, grads), rgrads))
             assert same_bits(x_grad, rx_grad)
             none, in_grad = backward(net, cache, g, param_grads=False)
@@ -380,7 +373,7 @@ class TestBitwiseReference:
         ref = [p.copy() for p in parameters(net)]
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
-        state = AdamState(lr=lr)
+        state = AdamState(lr=lr, beta1=0.5)
         step = 0
         for k in range(6):
             grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-8, 3)
@@ -415,26 +408,15 @@ class TestBitwiseReference:
 
 
 class TestLeakContract:
-    @pytest.mark.parametrize("leak", [-0.1, 1.5, np.nan, np.inf])
-    def test_out_of_range_leak_is_rejected(self, leak, tmp_path):
-        rng = np.random.default_rng(25)
-        with pytest.raises(ValueError, match="leak"):
-            init_dense([2, 4, 1], rng, leak=leak)
-        with pytest.raises(ValueError, match="leak"):
-            DenseNet([np.zeros((4, 2)), np.zeros((1, 4))],
-                     [np.zeros(4), np.zeros(1)], leak)
+    def test_checkpoint_with_another_leak_is_refused(self, tmp_path):
         path = tmp_path / "net.json"
-        save_net(init_dense([2, 4, 1], rng), path)
+        save_net(init_dense([2, 4, 1], np.random.default_rng(25)), path)
         doc = json.loads(path.read_text())
-        doc["leak"] = leak
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="leak"):
-            load_net(path)
-
-    @pytest.mark.parametrize("leak", [0, 0.0, 0.01, 0.2, 0.5, 1.0])
-    def test_range_ends_are_accepted(self, leak):
-        net = init_dense([2, 4, 1], np.random.default_rng(26), leak=leak)
-        assert net.leak == leak
+        assert load_net(path).sizes == [2, 4, 1] and doc["leak"] == 0.2
+        for leak in (0.0, 0.01, 0.5, 1.0, -0.1, np.nan, "0.2", None):
+            path.write_text(json.dumps({**doc, "leak": leak}))
+            with pytest.raises(ValueError, match=f"leak {leak!r} is not 0.2"):
+                load_net(path)
 
 
 class TestGradcheckHelpers:
@@ -543,7 +525,7 @@ class TestFlatLayout:
     def test_adam_moments_are_flat(self):
         rng = np.random.default_rng(32)
         net = init_dense([2, 4, 1], rng)
-        state = AdamState(lr=0.01)
+        state = AdamState(lr=0.01, beta1=0.5)
         adam_step(net, rng.standard_normal(net.flat.size), state)
         assert state.m.shape == state.v.shape == net.flat.shape
         assert all(np.shares_memory(p, net.flat) for p in parameters(net))
@@ -581,12 +563,11 @@ class TestFlatLayout:
 class TestStacks:
     """A stack (..., n, d) of batches gives each copy its own 2-d result."""
 
-    @pytest.mark.parametrize("leak", [0.0, 0.2, 1.0])
     @pytest.mark.parametrize("sizes", [[3, 16, 16, 2], [2, 128, 128, 2],
                                        [3, 128, 128, 1], [4, 5]])
-    def test_cache_free_forward_per_copy(self, leak, sizes):
+    def test_cache_free_forward_per_copy(self, sizes):
         rng = np.random.default_rng(35)
-        net = init_dense(sizes, rng, leak=leak)
+        net = init_dense(sizes, rng)
         for b in net.biases:
             b[...] = rng.uniform(-0.5, 0.5, b.shape)
         for shape in ((16, 8), (2, 3, 8), (1, 8), (5, 33)):
