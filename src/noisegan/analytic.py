@@ -88,8 +88,11 @@ def jsd_original(theta: float) -> float:
     """JSD of the un-noised pair: 0 at theta == 0, else exactly log 2.
 
     The case split is on exact equality — any non-zero offset makes the
-    supports disjoint, no matter how small.
+    supports disjoint, no matter how small.  Raises ``ValueError`` unless
+    ``theta`` is finite, as ``jsd_diffused`` does.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
     return 0.0 if theta == 0.0 else LN2
 
 
@@ -203,6 +206,9 @@ def _quadrature(p: ToyParams, tol: float) -> JsdEstimate:
                 row += panels
             if prev is not None and abs(total - prev) <= tol:
                 value = 0.0 if abs(total) <= tol else total
+                if not -tol <= value <= LN2 + tol:     # the std was lost to rounding
+                    raise NumericError(f"{where}: the quadrature gave {value!r}, "
+                                       "outside [0, log 2]")
                 return JsdEstimate(value, "quadrature", (row - first) * base_x.size)
             prev = total
     raise NumericError(

@@ -90,15 +90,25 @@ def _parse_levels(args, schedule, lowest: int = 0):
     return levels
 
 
-def _prepare(args, lowest: int = 0):
+def _prepare(args, lowest: int = 0, before=None):
     """Build the schedule and parse ``--t-list`` (levels None without one),
-    then create --out with its meta.json; returns (schedule, levels)."""
+    run ``before(schedule, levels)`` if given, then create --out with its
+    meta.json; returns (schedule, levels)."""
     params = {name: getattr(args, name) for name in _SCHEDULE_PARAMS}
     schedule = build_schedule(**params)
     if "t_list" in vars(args):
         params["t_list"] = _parse_levels(args, schedule, lowest)
+    if before:
+        before(schedule, params.get("t_list"))
     _start(args, args.seed, params)
     return schedule, params.get("t_list")
+
+
+def _grid(lo: float, hi: float, steps: int, flags: str) -> np.ndarray:
+    """``np.linspace(lo, hi, steps)``, refused if ``hi - lo`` overflows."""
+    if not math.isfinite(hi - lo):
+        raise _UsageError(f"{flags}: the grid from {lo!r} to {hi!r} overflows a float")
+    return np.linspace(lo, hi, steps)
 
 
 def _flag_name(name: str) -> str:
@@ -225,8 +235,8 @@ class ToyJsdFlags(SeedFlags):
 
 
 def cmd_toy_jsd(args) -> int:
+    thetas = _grid(args.theta_min, args.theta_max, args.theta_steps, "--theta-min/--theta-max")
     schedule, levels = _prepare(args)
-    thetas = np.linspace(args.theta_min, args.theta_max, args.theta_steps)
     rng = _prng(args.seed, 3)
 
     rows, series = [], []
@@ -272,18 +282,21 @@ class ToyDiscFlags(SeedFlags):
 
 
 def cmd_toy_disc(args) -> int:
-    schedule, levels = _prepare(args, lowest=1)
     rows, series = [], []
-    for t in levels:
-        toy = ToyParams.at(args.theta, t, schedule)
-        mu2, std = toy.a_t * toy.theta, math.sqrt(toy.b_t)
-        lo = args.y_min if args.y_min is not None else min(0.0, mu2) - 6.0 * std
-        hi = args.y_max if args.y_max is not None else max(0.0, mu2) + 6.0 * std
-        ys = np.linspace(lo, hi, args.y_steps)
-        d_star = optimal_discriminator(ys, args.theta, t, schedule)
-        rows.extend([_fnum(y), t, _fnum(args.theta), _fnum(d)]
-                    for y, d in zip(ys, d_star))
-        series.append((f"t={t}", list(ys), list(d_star)))
+
+    def sweep(schedule, levels):    # before --out exists: a bad grid is refused first
+        for t in levels:
+            toy = ToyParams.at(args.theta, t, schedule)
+            mu2, std = toy.a_t * toy.theta, math.sqrt(toy.b_t)
+            lo = args.y_min if args.y_min is not None else min(0.0, mu2) - 6.0 * std
+            hi = args.y_max if args.y_max is not None else max(0.0, mu2) + 6.0 * std
+            ys = _grid(lo, hi, args.y_steps, "--y-min/--y-max (an unset one follows --theta)")
+            d_star = optimal_discriminator(ys, args.theta, t, schedule)
+            rows.extend([_fnum(y), t, _fnum(args.theta), _fnum(d)]
+                        for y, d in zip(ys, d_star))
+            series.append((f"t={t}", list(ys), list(d_star)))
+
+    _prepare(args, lowest=1, before=sweep)
     write_rows(os.path.join(args.out, "toy_disc.csv"), rows,
                ("y", "t", "theta", "d_star"))
     if args.svg:

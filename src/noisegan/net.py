@@ -1,23 +1,23 @@
 """Small dense networks with explicit forward/backward passes.
 
 Plain numpy, no autodiff: ``forward`` returns the output plus a cache of
-layer inputs, pre-activations and hidden-layer slopes (``cache=False``
-keeps none of them when only the output is wanted), ``backward``
-consumes the cache and an output-side gradient and produces parameter
-gradients plus the gradient with respect to the network input
-(``param_grads=False`` skips the parameter gradients when only the input
-gradient is wanted).  Hidden layers use leaky ReLU; the final layer is
-affine (losses apply their own link).
+layer inputs and pre-activations (``cache=False`` keeps neither when
+only the output is wanted), ``backward`` consumes the cache and an
+output-side gradient and produces parameter gradients plus the gradient
+with respect to the network input (``param_grads=False`` skips the
+parameter gradients when only the input gradient is wanted).  Hidden
+layers use leaky ReLU; the final layer is affine (losses apply their
+own link).
 
-Every hidden layer's slope below zero is ``LEAK`` = 0.2.  ``leaky_relu``
-takes no branch: its slope ``s`` is exactly 1.0 where ``z >= 0`` and
-exactly ``LEAK`` elsewhere, so ``z * s`` equals
-``np.where(z >= 0, z, LEAK * z)`` bit for bit, signed zeros, infinities
-and nans included, and ``backward`` multiplies by the cached slopes.  A
-cache-free ``forward`` builds no slope array: ``maximum(z, LEAK * z)``
-picks the same two products in two passes instead of five (``LEAK * z``
-is ``z`` scaled towards zero; where they tie both carry the same bits,
-and a nan ``z`` gives a nan ``LEAK * z`` with its bits).
+Every hidden layer's slope below zero is ``LEAK`` = 0.2.  Every forward
+takes the activation one way, without a branch: ``maximum(z, LEAK * z)``
+equals ``np.where(z >= 0, z, LEAK * z)`` bit for bit (``LEAK * z`` is
+``z`` scaled towards zero; where they tie both carry the same bits, and
+a nan ``z`` gives a nan ``LEAK * z`` with its bits).  ``backward``
+rebuilds each hidden layer's slope from its cached pre-activation:
+exactly 1.0 where ``z >= 0`` and exactly ``LEAK`` elsewhere.  Not from
+the layer's output: at ``z = -5e-324``, ``LEAK * z`` underflows to
+``-0.0``, an output that reads ``>= 0`` though the slope is ``LEAK``.
 
 A cache-free ``forward`` also takes a stack of batches (..., n,
 fan_in), and ``forward_from`` finishes one from a layer's
@@ -116,7 +116,6 @@ class ForwardCache:
     """What ``backward`` needs from a ``forward`` call."""
     inputs: list     # input to each layer (post-activation of the previous one)
     preacts: list    # affine outputs z of each layer
-    slopes: list     # leaky-ReLU slope (1.0 or LEAK) of each hidden layer
 
 
 @dataclass
@@ -183,7 +182,7 @@ def forward(net: DenseNet, x: np.ndarray, cache: bool = True):
         raise ValueError(f"expected batch of shape (n, {fan_in})"
                          + ("" if cache else f" or (..., n, {fan_in})")
                          + f", got {x.shape}")
-    kept = ForwardCache([], [], []) if cache else None
+    kept = ForwardCache([], []) if cache else None
     return _layers(net, x, 0, kept), kept
 
 
@@ -197,7 +196,7 @@ def forward_from(net: DenseNet, layer: int, z: np.ndarray) -> np.ndarray:
     for bit that of ``forward(net, x, cache=False)`` on the input that
     leads to ``z``.
     """
-    h = z if layer == len(net.weights) - 1 else _hidden(z, None)
+    h = z if layer == len(net.weights) - 1 else _hidden(z)
     return _layers(net, h, layer + 1, None)
 
 
@@ -210,32 +209,15 @@ def _layers(net: DenseNet, h: np.ndarray, start: int, kept):
         if kept is not None:
             kept.inputs.append(h)
             kept.preacts.append(z)
-        h = z if i == last else _hidden(z, kept)
+        h = z if i == last else _hidden(z)
     return h
 
 
-def _hidden(z: np.ndarray, kept) -> np.ndarray:
-    """A hidden layer's activation; its slope goes to ``kept`` if given."""
-    if kept is None:
-        # no slopes to keep: the two-op form (see the module docstring)
-        h = z * LEAK
-        np.maximum(z, h, out=h)
-        return h
-    h, s = leaky_relu(z)
-    kept.slopes.append(s)
+def _hidden(z: np.ndarray) -> np.ndarray:
+    """A hidden layer's leaky ReLU (see the module docstring)."""
+    h = z * LEAK
+    np.maximum(z, h, out=h)
     return h
-
-
-def leaky_relu(z: np.ndarray):
-    """``(h, s)``: the leaky ReLU of ``z`` and its slope, without a branch.
-
-    ``s`` is exactly 1.0 where ``z >= 0`` and exactly ``LEAK`` elsewhere,
-    and ``h = z * s`` equals ``np.where(z >= 0, z, LEAK * z)`` bit for bit.
-    """
-    s = (z >= 0.0).astype(np.float64)
-    s *= 1.0 - LEAK
-    s += LEAK
-    return z * s, s
 
 
 def backward(net: DenseNet, cache: ForwardCache, out_grad: np.ndarray,
@@ -251,8 +233,7 @@ def backward(net: DenseNet, cache: ForwardCache, out_grad: np.ndarray,
     out_grad that does not match the cached batch.
     """
     n_layers = len(net.weights)
-    if (len(cache.inputs) != n_layers or len(cache.preacts) != n_layers
-            or len(cache.slopes) != n_layers - 1):
+    if len(cache.inputs) != n_layers or len(cache.preacts) != n_layers:
         raise ValueError("cache does not match this net (wrong number of layers)")
     out_grad = np.asarray(out_grad, dtype=np.float64)
     expected = (cache.inputs[0].shape[0], net.weights[-1].shape[0])
@@ -271,11 +252,14 @@ def backward(net: DenseNet, cache: ForwardCache, out_grad: np.ndarray,
         if param_grads:
             np.matmul(delta.T, cache.inputs[i], out=views[2 * i])
             np.add.reduce(delta, axis=0, out=views[2 * i + 1])
-        x_grad = delta @ net.weights[i]
+        delta = delta @ net.weights[i]
         if i > 0:
-            x_grad *= cache.slopes[i - 1]
-            delta = x_grad
-    return grads, x_grad
+            # the slope of layer i - 1's activation: 1.0 or LEAK
+            s = (cache.preacts[i - 1] >= 0.0).astype(np.float64)
+            s *= 1.0 - LEAK
+            s += LEAK
+            delta *= s
+    return grads, delta
 
 
 def adam_step(net: DenseNet, grads: np.ndarray, state: AdamState) -> None:

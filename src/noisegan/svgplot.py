@@ -7,7 +7,7 @@ float formatting, no timestamps.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
           "#8c564b", "#17becf", "#7f7f7f")
@@ -42,7 +42,7 @@ class _Canvas:
         self.parts.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
         if title:
             self.parts.append(f'<text x="{_W / 2:.0f}" y="20" text-anchor="middle" '
-                              f'font-size="14">{escape(title)}</text>')
+                              f'font-size="14">{escape(title, quote=False)}</text>')
         self._axes(xlabel, ylabel)
 
     def px(self, x):
@@ -72,12 +72,12 @@ class _Canvas:
                               f'dominant-baseline="middle">{ty:.4g}</text>')
         if xlabel:
             self.parts.append(f'<text x="{(_ML + _W - _MR) / 2:.0f}" y="{_H - 8}" '
-                              f'text-anchor="middle">{escape(xlabel)}</text>')
+                              f'text-anchor="middle">{escape(xlabel, quote=False)}</text>')
         if ylabel:
             self.parts.append(
                 f'<text x="14" y="{(_MT + _H - _MB) / 2:.0f}" text-anchor="middle" '
                 f'transform="rotate(-90 14 {(_MT + _H - _MB) / 2:.0f})">'
-                f'{escape(ylabel)}</text>')
+                f'{escape(ylabel, quote=False)}</text>')
 
     def legend(self, labels_colors):
         y = _MT + 4
@@ -85,7 +85,8 @@ class _Canvas:
             x = _W - _MR - 150
             self.parts.append(f'<line x1="{x}" y1="{y}" x2="{x + 22}" y2="{y}" '
                               f'stroke="{color}" stroke-width="2"/>')
-            self.parts.append(f'<text x="{x + 28}" y="{y + 4}">{escape(label)}</text>')
+            self.parts.append(f'<text x="{x + 28}" y="{y + 4}">'
+                              f'{escape(label, quote=False)}</text>')
             y += 16
 
     def write(self, path):

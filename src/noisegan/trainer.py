@@ -25,6 +25,8 @@ All randomness comes from one generator seeded with ``config.seed``;
 the draw order is part of the contract (tests replay it):
 init:  G weights, D weights, policy list; per step: z | real idx |
 levels | eps_real | eps_fake | z2 | levels2 | eps2 | policy redraw.
+Phase I draws eps_real and eps_fake as one (2, m, d) array, which is
+the same stream as the two (m, d) draws.
 """
 
 from __future__ import annotations
@@ -279,17 +281,21 @@ def init_train_state(dataset: np.ndarray, config: GanConfig) -> TrainState:
                       policy, TrainTrace())
 
 
-def _level_feature(t: np.ndarray, t_conditioned: bool) -> np.ndarray:
-    return t if t_conditioned else np.zeros_like(t)
+def _draw_noise(state: TrainState, shape: tuple):
+    """A phase's levels, one per row, and standard-normal noise of
+    ``shape`` (..., m, d); levels 0 and no noise on the vanilla arm."""
+    if state.policy is None:
+        return np.zeros(shape[-2], dtype=np.int64), None
+    return draw_t(state.policy, state.rng, shape[-2]), state.rng.standard_normal(shape)
 
 
-def _disc_pass(disc, x, t, eps, schedule, t_conditioned, cache):
-    """``forward(disc, ...)`` on generator output ``x`` (or, cache-free,
-    a stack of outputs), noised at per-row levels ``t`` with noise
-    ``eps`` (``None``: not noised) and given its level feature."""
+def _disc_input(x, t, eps, schedule, t_conditioned, out=None):
+    """The discriminator's input: batch ``x`` (or a stack of them) noised at
+    per-row levels ``t`` with ``eps`` (``None``: not noised), then the level
+    feature (0 unless ``t_conditioned``); written into ``out`` if given."""
     y = x if eps is None else diffuse(x, t, eps, schedule)
-    return forward(disc, cond_input(y, _level_feature(t, t_conditioned),
-                                    schedule.t_max_cap), cache=cache)
+    feat = t if t_conditioned else np.zeros_like(t)
+    return cond_input(y, feat, schedule.t_max_cap, out=out)
 
 
 def generator_objective(disc: DenseNet, x: np.ndarray, t: np.ndarray, eps,
@@ -301,8 +307,8 @@ def generator_objective(disc: DenseNet, x: np.ndarray, t: np.ndarray, eps,
     gives a float, or a stack (..., n, d) of them sharing ``t`` and
     ``eps``, which gives one loss per copy, each bit for bit that copy's
     float."""
-    return g_loss(_disc_pass(disc, x, t, eps, schedule, t_conditioned,
-                             cache=False)[0])
+    return g_loss(forward(disc, _disc_input(x, t, eps, schedule, t_conditioned),
+                          cache=False)[0])
 
 
 def generator_loss(gen: DenseNet, disc: DenseNet, z: np.ndarray, t: np.ndarray,
@@ -323,7 +329,7 @@ def generator_grads(gen: DenseNet, disc: DenseNet, z: np.ndarray, t: np.ndarray,
     the pre-activations of the pass it differentiated.
     """
     x, gcache = forward(gen, z)
-    logits, dcache = _disc_pass(disc, x, t, eps, schedule, t_conditioned, cache=True)
+    logits, dcache = forward(disc, _disc_input(x, t, eps, schedule, t_conditioned))
     _, in_grad = backward(disc, dcache, -sigmoid(-logits) / len(z),
                           param_grads=False)
     x_grad = in_grad[:, :x.shape[1]]
@@ -344,18 +350,12 @@ def train_step(state: TrainState) -> None:
     z = rng.standard_normal((m, cfg.latent_dim))
     real = state.data[rng.integers(0, state.data.shape[0], size=m)]
     fake, _ = forward(state.gen, z, cache=False)
-    if state.policy is not None:
-        t = draw_t(state.policy, rng, m)
-        real = diffuse(real, t, rng.standard_normal(real.shape), state.schedule)
-        fake = diffuse(fake, t, rng.standard_normal(fake.shape), state.schedule)
-    else:
-        t = np.zeros(m, dtype=np.int64)
-
-    feat = _level_feature(t, cfg.t_conditioned)
-    d_in = np.empty((2 * m, dim + 1))
-    cond_input(real, feat, cfg.t_max_cap, out=d_in[:m])
-    cond_input(fake, feat, cfg.t_max_cap, out=d_in[m:])
-    logits, dcache = forward(state.disc, d_in)
+    t, eps = _draw_noise(state, (2, m, dim))    # eps_real, then eps_fake
+    d_in = np.empty((2, m, dim + 1))
+    for k, x in enumerate((real, fake)):
+        _disc_input(x, t, eps if eps is None else eps[k], state.schedule,
+                    cfg.t_conditioned, out=d_in[k])
+    logits, dcache = forward(state.disc, d_in.reshape(2 * m, dim + 1))
     r_logits, f_logits = logits[:m], logits[m:]
     dl = d_loss(r_logits, f_logits)
     d_fake_probs = sigmoid(f_logits)
@@ -369,12 +369,7 @@ def train_step(state: TrainState) -> None:
 
     # II. generator
     z2 = rng.standard_normal((m, cfg.latent_dim))
-    if state.policy is not None:
-        t2 = draw_t(state.policy, rng, m)
-        eps2 = rng.standard_normal((m, dim))
-    else:
-        t2 = np.zeros(m, dtype=np.int64)
-        eps2 = None
+    t2, eps2 = _draw_noise(state, (m, dim))
     gl, ggrads, _ = generator_grads(state.gen, state.disc, z2, t2, eps2,
                                     state.schedule, cfg.t_conditioned)
     adam_step(state.gen, ggrads, state.opt_g)

@@ -141,10 +141,13 @@ def count_integrand(monkeypatch, wrap=None):
 
 def with_jump(integrand):
     """The integrand plus a 1e-3 jump at y = 0.0123: Gauss-Legendre then
-    converges only linearly, so the panels double past depth 1."""
-    def jumped(y, *args):
-        jump = (y > 0.0123) * 1e-3       # before an in-place integrand overwrites y
-        out = integrand(y, *args)
+    converges only linearly, so the panels double past depth 1.  The jump
+    points into [0, log 2], where a JSD lies: down where the means lie more
+    than a std apart (a JSD near log 2), up elsewhere (a JSD near 0)."""
+    def jumped(y, mu1, mu2, var):
+        step = -1e-3 if abs(mu2 - mu1) > math.sqrt(var) else 1e-3
+        jump = (y > 0.0123) * step       # before an in-place integrand overwrites y
+        out = integrand(y, mu1, mu2, var)
         out += jump
         return out
     return jumped
@@ -213,6 +216,10 @@ class TestNonFiniteOffset:
         with pytest.raises(ValueError, match="theta must be finite"):
             optimal_discriminator(np.zeros(3), theta, 200, SCHED)
 
+    def test_jsd_original(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            jsd_original(theta)
+
 
 class TestQuadrature:
     @pytest.mark.parametrize("t", [1, 50, 200, 800])
@@ -244,6 +251,14 @@ class TestQuadrature:
     def test_saturates_at_log2_for_wide_separation(self):
         # at t=1 the noise std is ~5e-4, so theta=1 is thousands of stds
         assert jsd_diffused(1.0, 1, SCHED).value == pytest.approx(LN2, abs=1e-12)
+
+    @pytest.mark.parametrize("theta", [1e13, 3e13])
+    def test_value_outside_the_jsd_range_raises(self, theta):
+        # at t = 1 the std (5e-4) is lost to rounding next to a_t * theta,
+        # and the panels converge to a value above log 2
+        with pytest.raises(NumericError, match=rf"theta={theta!r}, t=1, .* outside \[0, log 2\]"):
+            jsd_diffused(theta, 1, SCHED)
+        assert jsd_diffused(1e11, 1, SCHED).value == 0.6931471805599442
 
     def test_bounded_by_log2_on_grid(self):
         for theta in (0.02, 0.1, 0.5, 1.0, 2.0):

@@ -438,6 +438,15 @@ class TestBadInputsExitWithAMessage:
         (["train", "--data-n", "0", "--steps", "4"], "--data-n must be >= 1"),
         (["diffuse-demo", "--data-n", "0", "--svg"], "--data-n must be >= 1"),
         (["toy-jsd", "--seed", "-1"], "--seed must be >= 0"),
+        # a span above the largest float would fill the grid with nan and inf
+        (["toy-jsd", "--theta-min=-1e308", "--theta-max", "1e308", "--theta-steps", "3",
+          "--t-list", "0", "--no-svg"], "--theta-min/--theta-max: the grid from -1e+308"),
+        (["toy-jsd", "--theta-min=-1e308", "--theta-max", "1e308", "--theta-steps", "3",
+          "--t-list", "1", "--no-svg"], "--theta-min/--theta-max: the grid from -1e+308"),
+        (["toy-disc", "--y-min=-1e308", "--y-max", "1e308", "--y-steps", "3",
+          "--t-list", "1", "--no-svg"], "--y-min/--y-max"),
+        (["toy-disc", "--y-min=-1e308", "--theta", "1.7e308", "--y-steps", "3",
+          "--t-list", "1", "--no-svg"], "--y-min/--y-max (an unset one follows --theta)"),
     ])
     def test_bad_command_values(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"

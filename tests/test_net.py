@@ -10,7 +10,7 @@ import pytest
 from noisegan import (AdamState, DenseNet, adam_step, backward, cond_input,
                       forward, init_dense, load_net, param_views, parameters,
                       save_net)
-from noisegan.net import forward_from, leaky_relu
+from noisegan.net import ForwardCache, _hidden, forward_from
 from noisegan.gradcheck import check_isolated, pick_coords, rel_err
 from test_gradcheck import fd_on_coords
 
@@ -279,10 +279,20 @@ class TestBitwiseReference:
 
     @pytest.mark.parametrize("leak", LEAKS)
     def test_leaky_relu(self, leak):
+        # the one activation, and the slope backward rebuilds from the
+        # pre-activation, on every special value; -0.0 is here only, since
+        # a matmul turns it into +0.0, and -5e-324 has an output that
+        # reads >= 0 (LEAK * z underflows to -0.0) but the slope LEAK
         z = np.concatenate([SPECIALS, np.random.default_rng(19).standard_normal(50)])
-        h, s = leaky_relu(z)
+        h = _hidden(z)
         assert same_bits(h, np.where(z >= 0.0, z, leak * z))
-        assert same_bits(s, np.where(z >= 0.0, 1.0, leak))
+        # W1 and x0 of ones make layer 0's weight gradient the slope itself
+        width = z.size
+        net = DenseNet([np.ones((width, 1)), np.ones((1, width))],
+                       [np.zeros(width), np.zeros(1)])
+        cache = ForwardCache([np.ones((1, 1)), h[None]], [z[None], np.zeros((1, 1))])
+        grads, _ = backward(net, cache, np.ones((1, 1)))
+        assert same_bits(param_views(net, grads)[0][:, 0], np.where(z >= 0.0, 1.0, leak))
 
     @pytest.mark.parametrize("leak", LEAKS)
     def test_special_preactivations(self, leak):
@@ -307,10 +317,9 @@ class TestBitwiseReference:
 
     @pytest.mark.parametrize("leak", LEAKS)
     def test_cache_free_forward(self, leak):
-        # the two-op activation of a cache-free forward:
-        # hidden pre-activations that are exactly the special values (the
-        # positive weights after them carry infinities through to the
-        # output), then random nets on batches laced with them
+        # a cache-free forward: hidden pre-activations that are exactly the
+        # special values (the positive weights after them carry infinities
+        # through to the output), then random nets on batches laced with them
         rng = np.random.default_rng(27)
         width = 6
         net = DenseNet([np.ones((width, 1)), rng.uniform(0.5, 1, (width, width)),
@@ -356,13 +365,13 @@ class TestBitwiseReference:
         rng = np.random.default_rng(22)
         net = init_dense([3, 8, 8, 1], rng)
         out, cache = forward(net, rng.standard_normal((5, 3)))
-        kept = [a.copy() for a in cache.inputs + cache.preacts + cache.slopes]
+        kept = [a.copy() for a in cache.inputs + cache.preacts]
         g = rng.standard_normal(out.shape)
         g_kept = g.copy()
         first = backward(net, cache, g)
         second = backward(net, cache, g)
         assert all(same_bits(a, b) for a, b in
-                   zip(cache.inputs + cache.preacts + cache.slopes, kept))
+                   zip(cache.inputs + cache.preacts, kept))
         assert same_bits(g, g_kept)
         assert same_bits(first[1], second[1])
 

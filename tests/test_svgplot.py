@@ -34,11 +34,12 @@ def test_deterministic_output(tmp_path):
 
 def test_labels_are_escaped(tmp_path):
     path = tmp_path / "e.svg"
-    line_chart(path, [("a<b&c", [0, 1], [0, 1])], title="x<y>", xlabel="<",
+    line_chart(path, [("a<b&c", [0, 1], [0, 1])], title="x<y>", xlabel="<'\"",
                ylabel="&")
     text = path.read_text()
     assert "a&lt;b&amp;c" in text
     assert "x&lt;y&gt;" in text
+    assert ">&lt;'\"</text>" in text    # quotes stay as they are
 
 
 def test_constant_series_does_not_crash(tmp_path):
