@@ -168,6 +168,11 @@ def _quadrature(p: ToyParams, tol: float) -> JsdEstimate:
     std = math.sqrt(var)
     where = f"toy JSD at theta={p.theta!r}, t={p.t}, tol={tol!r}"
     spans = _spans(mu1, mu2, std)
+    # a std-wide panel needs room for its nodes, or they lose the std to rounding
+    if math.ulp(max(-spans[0][0], spans[-1][1])) > std / _GL_NODES:
+        raise NumericError(f"{where}: the std {std:.3g} spans fewer than {_GL_NODES} "
+                           f"rounding steps next to a_t*theta = {mu2:.6g}, so the "
+                           "value is unreliable, inside or outside [0, log 2]")
     tail = max(_tail_mass(mu1, std, spans), _tail_mass(mu2, std, spans))
     if tail * LN2 > tol:
         raise NumericError(f"{where}: uncovered tail mass {tail:.3e} exceeds tolerance")
@@ -263,8 +268,10 @@ def optimal_discriminator(y, theta: float, t: int,
     """
     p = ToyParams.at(theta, t, schedule)
     mu = p.a_t * p.theta
-    # log q - log p, linear in y: no square or normalizer to overflow
-    log_q_over_p = mu * (np.asarray(y, dtype=np.float64) - 0.5 * mu) / p.b_t
+    # log q - log p, linear in y: no square or normalizer to overflow, and
+    # where the product does, the sigmoid maps its +-inf to 0 or 1
+    with np.errstate(over="ignore"):
+        log_q_over_p = mu * (np.asarray(y, dtype=np.float64) - 0.5 * mu) / p.b_t
     return np.exp(-np.logaddexp(0.0, log_q_over_p))   # sigmoid(log p - log q)
 
 

@@ -7,7 +7,8 @@ Every run creates --out, writes meta.json (resolved parameters and seed)
 into it, then its artifacts; reruns with the same arguments and seed
 produce byte-identical CSVs.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error (or sizes beyond memory), 2 data
+error, 3 numeric failure (``train`` still writes its ``trace.csv``).
 """
 
 from __future__ import annotations
@@ -194,8 +195,11 @@ def cmd_train(args) -> int:
         dataset = sample_grid(grid, args.data_n, _prng(cfg.seed, 0))
     _start(args, cfg.seed, {"config": asdict(cfg)})
 
-    gen, disc, trace = train(dataset, cfg)
-
+    try:
+        gen, disc, trace = train(dataset, cfg)
+    except NumericError as e:   # the trace up to the failure is the evidence
+        e.trace.write_csv(os.path.join(args.out, "trace.csv"))
+        raise
     trace.write_csv(os.path.join(args.out, "trace.csv"))
     save_net(gen, os.path.join(args.out, "gen.json"))
     save_net(disc, os.path.join(args.out, "disc.json"))
@@ -441,6 +445,9 @@ def main(argv=None) -> int:
         return 3
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("usage error: the requested sizes do not fit in memory", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataError
 
-_CHUNK = 65536
+_BLOCK = 2048   # rows scored or written per pass, which bounds the working set
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ def coverage(samples: np.ndarray, grid: GaussGrid, k_sigma: float = 3.0,
     counts = np.zeros(k, dtype=np.int64)
     n_hq = 0
     radius = k_sigma * grid.comp_std
-    for lo in range(0, n, _CHUNK):
-        chunk = pts[lo:lo + _CHUNK]
+    for lo in range(0, n, _BLOCK):
+        chunk = pts[lo:lo + _BLOCK]
         d2 = ((chunk[:, None, :] - grid.centers[None, :, :]) ** 2).sum(axis=2)
         nearest = d2.argmin(axis=1)
         hq = d2[np.arange(chunk.shape[0]), nearest] <= radius * radius
@@ -122,11 +122,13 @@ def write_rows(path, rows, header=None) -> None:
 
 
 def save_csv(points: np.ndarray, path) -> None:
-    """Write a headerless two-column CSV; floats use repr for exact round-trip."""
+    """Write a headerless two-column CSV; floats use repr for exact round-trip.
+    The rows become Python floats one block at a time."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must be (n, 2), got {pts.shape}")
-    write_rows(path, pts.tolist())
+    write_rows(path, (row for lo in range(0, len(pts), _BLOCK)
+                      for row in pts[lo:lo + _BLOCK].tolist()))
 
 
 def load_csv(path) -> np.ndarray:

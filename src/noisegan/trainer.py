@@ -395,10 +395,16 @@ def train(dataset: np.ndarray, config: GanConfig):
 
     A trailing window shorter than ``update_interval`` is closed with
     the last known r_d = 0 convention so short runs still leave a row.
+    A ``NumericError`` carries the trace so far as its ``trace``; its
+    last row is the failing step's diagnostic row.
     """
     state = init_train_state(dataset, config)
-    for _ in range(config.total_steps):
-        train_step(state)
+    try:
+        for _ in range(config.total_steps):
+            train_step(state)
+    except NumericError as e:
+        e.trace = state.trace
+        raise
     policy = state.policy
     state.trace.close_window(state.step, policy.t_current if policy is not None else 0, 0.0)
     return state.gen, state.disc, state.trace

@@ -260,6 +260,15 @@ class TestQuadrature:
             jsd_diffused(theta, 1, SCHED)
         assert jsd_diffused(1e11, 1, SCHED).value == 0.6931471805599442
 
+    @pytest.mark.parametrize("theta,t,wrong", [(4.5e12, 2, 0.65285), (2.6e12, 1, 0.68922)])
+    def test_unresolved_std_raises(self, theta, t, wrong):
+        # the std (5e-4 at t = 1, 7.4e-4 at t = 2) spans under 16 rounding
+        # steps next to a_t * theta; the panels converge to ``wrong``, in
+        # range, where the JSD is log 2 to every digit
+        with pytest.raises(NumericError, match=rf"theta={theta!r}, t={t}, .* rounding steps"):
+            jsd_diffused(theta, t, SCHED)
+        assert reference_quadrature(theta, t, SCHED)[0] == pytest.approx(wrong, abs=1e-5)
+
     def test_bounded_by_log2_on_grid(self):
         for theta in (0.02, 0.1, 0.5, 1.0, 2.0):
             for t in (1, 10, 100, 500, 900, 1000):

@@ -60,6 +60,30 @@ class TestTrain:
         assert trace == ["step,T,r_d,d_loss,g_loss,d_real_mean,d_fake_mean"]
         assert json.loads((out / "coverage.json").read_text())["n_samples"] == 32
 
+    def test_numeric_failure_leaves_the_trace(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            code = run(["train", "--lr", "1e300", "--lr-d", "1e300", "--steps", "2",
+                        "--batch", "8", "--hidden", "8", "--data-n", "64",
+                        "--sample-n", "16", "--out", str(out)])
+        assert code == 3
+        assert "numeric error: non-finite loss at step 1" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["meta.json", "trace.csv"]
+        header, *rows = (out / "trace.csv").read_text().splitlines()
+        assert len(rows) == 1
+        (row,) = rows
+        assert not math.isfinite(float(dict(zip(header.split(","), row.split(",")))["g_loss"]))
+
+    def test_sizes_beyond_memory_are_a_usage_error(self, tmp_path, capsys, monkeypatch):
+        def no_room(gen, n, rng):
+            raise MemoryError(f"Unable to allocate an array of {n} samples")
+
+        monkeypatch.setattr(cli, "generate", no_room)
+        assert run(["train", "--out", str(tmp_path / "o"), "--steps", "0", "--batch", "8",
+                    "--hidden", "8", "--data-n", "64", "--sample-n", "2000000000"]) == 1
+        err = capsys.readouterr().err
+        assert err == "usage error: the requested sizes do not fit in memory\n"
+
     def test_custom_data_skips_coverage(self, tmp_path):
         data = tmp_path / "pts.csv"
         pts = np.random.default_rng(0).normal(size=(64, 2))
@@ -217,6 +241,15 @@ class TestToyDisc:
     def test_rejects_level_zero(self, tmp_path):
         assert run(["toy-disc", "--out", str(tmp_path / "o"),
                     "--t-list", "0,50"]) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_log_ratio_warns_nothing(self, tmp_path):
+        # mu * (y - mu / 2) overflows to -inf, 0 and +inf across the grid
+        out = tmp_path / "o"
+        assert run(["toy-disc", "--out", str(out), "--theta", "1e200", "--t-list", "1",
+                    "--y-steps", "3", "--no-svg"]) == 0
+        lines = (out / "toy_disc.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[3]) for line in lines] == [1.0, 0.5, 0.0]
 
 
 class TestScheduleDump:

@@ -1,9 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from noisegan.data import (CoverageReport, GaussGrid, coverage, grid_25,
                            load_csv, sample_grid, save_csv)
 from noisegan.errors import DataError
+
+
+def peak_bytes(call) -> int:
+    """The most memory NumPy and Python held at once during ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGrid:
@@ -141,6 +153,11 @@ class TestCoverage:
             coverage(pts[65536:], grid, min_count=1).mode_counts
         assert np.array_equal(whole.mode_counts, parts)
 
+    def test_working_memory_is_bounded(self):
+        # 200k points scored 65536 at a time held 26 MB per distance array
+        pts = sample_grid(grid_25(), 200_000, np.random.default_rng(9))
+        assert peak_bytes(lambda: coverage(pts, grid_25())) < 10e6
+
     def test_true_samples_cover_everything(self):
         grid = grid_25()
         pts = sample_grid(grid, 100_000, np.random.default_rng(123))
@@ -222,6 +239,13 @@ class TestCsv:
         path.write_text("inf,0.0\n")
         with pytest.raises(DataError, match="row 1"):
             load_csv(path)
+
+    def test_save_holds_one_block_of_rows(self, tmp_path):
+        # 200k rows as Python lists of floats at once took about 28 MB
+        pts = np.random.default_rng(10).standard_normal((200_000, 2))
+        path = tmp_path / "pts.csv"
+        assert peak_bytes(lambda: save_csv(pts, path)) < 8e6
+        assert np.array_equal(load_csv(path), pts)
 
     def test_save_validates_shape(self, tmp_path):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ import pytest
 from noisegan import (AdamState, DenseNet, adam_step, backward, cond_input,
                       forward, init_dense, load_net, param_views, parameters,
                       save_net)
+from noisegan import net as net_module
 from noisegan.net import ForwardCache, _hidden, forward_from
 from noisegan.gradcheck import check_isolated, pick_coords, rel_err
 from test_gradcheck import fd_on_coords
@@ -622,3 +623,72 @@ class TestStacks:
             cond_input(ys, t, 1000, out=np.empty((8, 3)))
         with pytest.raises(ValueError):
             cond_input(ys, t[:5], 1000)
+
+
+def row_blocks(n):
+    """The block rule spelled out: cut every 2048 rows while at least
+    4096 remain, so the tail shorter than 2048 joins the block before it."""
+    cuts = [0]
+    while n - cuts[-1] >= 2 * 2048:
+        cuts.append(cuts[-1] + 2048)
+    return list(zip(cuts, cuts[1:] + [n]))
+
+
+class TestBlockedForward:
+    """A cache-free forward runs its rows in blocks and writes only its own arrays."""
+
+    def test_rows_per_pass(self, monkeypatch):
+        assert net_module._BLOCK == 2048
+        rng = np.random.default_rng(40)
+        net = init_dense([2, 16, 16, 2], rng)
+        passes = []
+        one_pass = net_module._layers
+
+        def counted(net_, h, start, kept):
+            passes.append(h.shape[-2])
+            return one_pass(net_, h, start, kept)
+
+        monkeypatch.setattr(net_module, "_layers", counted)
+        for n in (0, 1, 128, 2047, 2048, 4095, 4096, 5000, 6143, 6144, 10_000):
+            passes.clear()
+            assert forward(net, rng.standard_normal((n, 2)), cache=False)[0].shape == (n, 2)
+            assert passes == [hi - lo for lo, hi in row_blocks(n)], n
+        passes.clear()
+        forward(net, rng.standard_normal((3, 5000, 2)), cache=False)   # a stack's rows
+        assert passes == [2048, 2952]
+
+    @pytest.mark.parametrize("n", [4096, 5000, 6143, 6144, 10_000])
+    def test_equals_its_blocks_forwards(self, n):
+        rng = np.random.default_rng(41)
+        net = init_dense([2, 32, 32, 2], rng)
+        for b in net.biases:
+            b[...] = rng.uniform(-0.5, 0.5, b.shape)
+        x = rng.standard_normal((n, 2))
+        blocks = row_blocks(n)
+        out = forward(net, x, cache=False)[0]
+        assert same_bits(out, np.concatenate(
+            [forward(net, x[lo:hi], cache=False)[0] for lo, hi in blocks]))
+        for layer in range(len(net.weights)):
+            z = forward(net, x)[1].preacts[layer]
+            assert same_bits(forward_from(net, layer, z), np.concatenate(
+                [forward_from(net, layer, z[lo:hi]) for lo, hi in blocks]))
+        xs = np.stack([x, x[::-1]])
+        outs = forward(net, xs, cache=False)[0]
+        assert same_bits(outs[0], out)
+        assert same_bits(outs[1], forward(net, xs[1], cache=False)[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # inf and nan inputs
+    @pytest.mark.parametrize("n", [33, 5000])
+    def test_inputs_keep_their_bits(self, n):
+        rng = np.random.default_rng(42)
+        net = init_dense([3, 16, 16, 2], rng)
+        x = batch_with_specials(rng, n, 3)
+        for given in (x, np.stack([x, -x])):
+            before = given.copy()
+            forward(net, given, cache=False)
+            assert same_bits(given, before)
+        for layer in range(len(net.weights)):
+            z = forward(net, x)[1].preacts[layer]
+            before = z.copy()
+            forward_from(net, layer, z)
+            assert same_bits(z, before)

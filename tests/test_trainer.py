@@ -9,6 +9,7 @@ fake batches at different levels, the replay diverges bitwise.
 """
 
 import csv
+import tracemalloc
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -455,3 +456,15 @@ class TestGenerate:
         state = init_train_state(tiny_data(), tiny_config())
         with pytest.raises(ValueError):
             generate(state.gen, -1, np.random.default_rng(0))
+
+    def test_working_memory_is_bounded(self):
+        # 20k samples through 128-wide layers: 20 MB per whole-batch layer
+        # array, where the blocked forward holds two blocks of at most 4 MB
+        gen = init_dense([2, 128, 128, 2], np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            generate(gen, 20_000, np.random.default_rng(6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
