@@ -156,8 +156,7 @@ COMMANDS = {
     "toy-jsd": ({"--theta-steps": small(5, 1), "--mc-n": small(200),
                  "--t-list": LEVELS},
                 {**SEED, **SCHEDULE, "--theta-min": ANY_FLOAT,
-                 "--theta-max": ANY_FLOAT, "--tol": token(st.floats(0.0, 1e-3)),
-                 "--no-svg": None,
+                 "--theta-max": ANY_FLOAT, "--no-svg": None,
                  "--method": st.sampled_from(["quadrature", "monte_carlo", "exact"])}),
     "toy-disc": ({"--y-steps": small(50), "--t-list": LEVELS},
                  {**SEED, **SCHEDULE, "--theta": ANY_FLOAT, "--y-min": ANY_FLOAT,
