@@ -10,9 +10,9 @@ leaving two normals with common variance
 
     b_t = (1 - alpha_bars[t]) * sigma^2
 
-and means 0 and a_t * theta with a_t = sqrt(alpha_bars[t]).  Their JSD
-is smooth in theta, which is the whole point.  It depends on the offset
-in stds alone, delta = a_t * |theta| / sqrt(b_t):
+and means 0 and a_t * theta with a_t = keep[t] = sqrt(alpha_bars[t]).
+Their JSD is smooth in theta, which is the whole point.  It depends on
+the offset in stds alone, delta = a_t * |theta| / sqrt(b_t):
 
     JSD = log 2 - E_{x ~ N(0, 1)}[softplus(delta * (x - delta / 2))]
 
@@ -68,7 +68,7 @@ class ToyParams:
         if not (1 <= t <= schedule.t_max_cap):
             raise ValueError(f"t must be in [1, {schedule.t_max_cap}], got {t}")
         abar = float(schedule.alpha_bars[t])
-        a_t = math.sqrt(abar)
+        a_t = float(schedule.keep[t])
         try:
             b_t = (1.0 - abar) * schedule.sigma ** 2
         except OverflowError:       # sigma above sqrt of the largest float

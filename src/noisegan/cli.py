@@ -184,15 +184,20 @@ def _resolve_config(args) -> GanConfig:
     return cfg
 
 
+def _dataset(args, seed: int) -> np.ndarray:
+    """The points of ``--data``, refused if there are none, or else
+    ``--data-n`` samples of the 5x5 grid from stream 0 of ``seed``."""
+    if not args.data:
+        return sample_grid(grid_25(), args.data_n, _prng(seed, 0))
+    points = load_csv(args.data)
+    if points.shape[0] == 0:
+        raise DataError(f"{args.data}: empty dataset")
+    return points
+
+
 def cmd_train(args) -> int:
     cfg = _resolve_config(args)
-    grid = grid_25()
-    if args.data:
-        dataset = load_csv(args.data)
-        if dataset.shape[0] == 0:
-            raise DataError(f"{args.data}: empty dataset")
-    else:
-        dataset = sample_grid(grid, args.data_n, _prng(cfg.seed, 0))
+    dataset = _dataset(args, cfg.seed)
     _start(args, cfg.seed, {"config": asdict(cfg)})
 
     try:
@@ -207,6 +212,7 @@ def cmd_train(args) -> int:
     save_csv(samples, os.path.join(args.out, "samples.csv"))
 
     if not args.data:
+        grid = grid_25()
         report = coverage(samples, grid, k_sigma=args.k_sigma,
                           min_count=args.min_count)
         _write_json(os.path.join(args.out, "coverage.json"), report.as_dict())
@@ -368,13 +374,14 @@ class DiffuseDemoFlags(SeedFlags):
 
 
 def cmd_diffuse_demo(args) -> int:
-    schedule, levels = _prepare(args)
-    if args.data:
-        points = load_csv(args.data)
-        if points.shape[0] == 0:
-            raise DataError(f"{args.data}: empty dataset")
-    else:
-        points = sample_grid(grid_25(), args.data_n, _prng(args.seed, 0))
+    points = None
+
+    def read(schedule, levels):     # before --out exists: bad data is refused first
+        nonlocal points
+        points = _dataset(args, args.seed)
+
+    schedule, levels = _prepare(args, before=read)
+    if not args.data:
         save_csv(points, os.path.join(args.out, "input.csv"))
 
     rng = _prng(args.seed, 1)

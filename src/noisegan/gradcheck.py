@@ -5,9 +5,10 @@ Two kinds of check:
 * isolated — a random net, a random input batch and a random output
   coefficient matrix R; the scalar is sum(R * forward(x)) so its exact
   gradient is backward(cache, R);
-* path — the trainer's own generator objective and gradient
-  (``trainer.generator_loss`` and ``trainer.generator_grads``, the code
-  of the training step's phase II): latents through the generator, the
+* path — the trainer's own generator objective,
+  ``trainer.generator_objective(disc, forward(gen, z, cache=False)[0],
+  ...)``, and gradient, ``trainer.generator_grads`` (the code of the
+  training step's phase II): latents through the generator, the
   noising map at level t, the level feature, the discriminator and
   softplus, differentiated with respect to the generator parameters.
 
@@ -206,9 +207,9 @@ def check_gen_path(schedule: DiffusionSchedule, t: int, seed: int, h: float = 1e
                    t_conditioned: bool = True) -> float:
     """Max relative error of the trainer's generator gradient
     (``trainer.generator_grads``) against central differences of the
-    trainer's generator objective (``trainer.generator_loss``, whose part
-    after the generator, ``trainer.generator_objective``, runs on the
-    stacks), noised at level ``t`` on every row."""
+    trainer's generator objective, ``trainer.generator_objective(disc,
+    forward(gen, z, cache=False)[0], ...)``, on stacks of nudged
+    generator outputs, noised at level ``t`` on every row."""
     rng = np.random.default_rng(seed)
     gen = random_net(GEN_SIZES, rng)
     disc = random_net(DISC_SIZES, rng)

@@ -336,26 +336,19 @@ def adam_step(net: DenseNet, grads: np.ndarray, state: AdamState) -> None:
     p -= step
 
 
-def cond_input(y: np.ndarray, t, t_norm: int, out: np.ndarray = None) -> np.ndarray:
+def cond_input(y: np.ndarray, t, t_norm: int) -> np.ndarray:
     """Append the scalar level feature t / t_norm as an extra column.
 
     ``y`` is an (n, d) batch or a stack (..., n, d) of them; ``t`` is a
     scalar or one level per row, shape (n,), shared by every copy of a
-    stack.  With ``out`` (a float64 array of ``y``'s shape with d + 1
-    columns, for instance a row slice of a larger batch) the result is
-    written there and ``out`` is returned.
+    stack.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.ndim < 2:
         raise ValueError(f"expected a 2-d batch or a stack of them, got shape {y.shape}")
     if t_norm < 1:
         raise ValueError(f"t_norm must be >= 1, got {t_norm}")
-    shape = y.shape[:-1] + (y.shape[-1] + 1,)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}, "
-                         f"got {out.dtype} {out.shape}")
+    out = np.empty(y.shape[:-1] + (y.shape[-1] + 1,))
     out[..., :-1] = y
     out[..., -1] = np.asarray(t, dtype=np.float64) / t_norm
     return out

@@ -7,11 +7,11 @@ Each step does, in order:
       list, and take one Adam step on the non-saturating loss;
   II. generator update — fresh latents, fresh independent levels, one
       Adam step through the noising map (whose input Jacobian is the
-      per-sample factor sqrt(alpha_bars[t])).  The objective and its
-      gradient are ``generator_loss`` and ``generator_grads``, the
-      functions ``gradcheck`` audits (its finite differences evaluate
-      ``generator_objective``, the part of ``generator_loss`` after the
-      generator, on stacks of nudged generator outputs);
+      per-sample factor sqrt(alpha_bars[t])).  The objective is
+      ``generator_objective`` of the generator's output;
+      ``generator_grads`` gives it and its gradient, which ``gradcheck``
+      audits against finite differences of ``generator_objective`` on
+      stacks of nudged generator outputs;
   III. add the step's values to the trace's window; every
       ``update_interval`` steps, close the policy window (move the level
       ceiling, redraw the exploration list) and the trace's window,
@@ -289,13 +289,18 @@ def _draw_noise(state: TrainState, shape: tuple):
     return draw_t(state.policy, state.rng, shape[-2]), state.rng.standard_normal(shape)
 
 
-def _disc_input(x, t, eps, schedule, t_conditioned, out=None):
+def _ceiling(state: TrainState) -> int:
+    """The level ceiling: the policy's, or 0 on the vanilla arm."""
+    return 0 if state.policy is None else state.policy.t_current
+
+
+def _disc_input(x, t, eps, schedule, t_conditioned):
     """The discriminator's input: batch ``x`` (or a stack of them) noised at
     per-row levels ``t`` with ``eps`` (``None``: not noised), then the level
-    feature (0 unless ``t_conditioned``); written into ``out`` if given."""
+    feature (0 unless ``t_conditioned``)."""
     y = x if eps is None else diffuse(x, t, eps, schedule)
     feat = t if t_conditioned else np.zeros_like(t)
-    return cond_input(y, feat, schedule.t_max_cap, out=out)
+    return cond_input(y, feat, schedule.t_max_cap)
 
 
 def generator_objective(disc: DenseNet, x: np.ndarray, t: np.ndarray, eps,
@@ -311,17 +316,10 @@ def generator_objective(disc: DenseNet, x: np.ndarray, t: np.ndarray, eps,
                           cache=False)[0])
 
 
-def generator_loss(gen: DenseNet, disc: DenseNet, z: np.ndarray, t: np.ndarray,
-                   eps, schedule: DiffusionSchedule, t_conditioned: bool) -> float:
-    """Phase II's objective, keeping no layer caches: ``generator_objective``
-    on the generator's output for latents ``z``."""
-    return generator_objective(disc, forward(gen, z, cache=False)[0], t, eps,
-                               schedule, t_conditioned)
-
-
 def generator_grads(gen: DenseNet, disc: DenseNet, z: np.ndarray, t: np.ndarray,
                     eps, schedule: DiffusionSchedule, t_conditioned: bool):
-    """``generator_loss`` and its gradient with respect to ``gen.flat``.
+    """Phase II's objective, ``generator_objective`` on the generator's
+    output for latents ``z``, and its gradient with respect to ``gen.flat``.
 
     The gradient crosses the noising map through its input Jacobian, the
     per-sample factor ``schedule.keep[t]``.  Returns ``(g_loss, grads,
@@ -351,11 +349,10 @@ def train_step(state: TrainState) -> None:
     real = state.data[rng.integers(0, state.data.shape[0], size=m)]
     fake, _ = forward(state.gen, z, cache=False)
     t, eps = _draw_noise(state, (2, m, dim))    # eps_real, then eps_fake
-    d_in = np.empty((2, m, dim + 1))
-    for k, x in enumerate((real, fake)):
-        _disc_input(x, t, eps if eps is None else eps[k], state.schedule,
-                    cfg.t_conditioned, out=d_in[k])
-    logits, dcache = forward(state.disc, d_in.reshape(2 * m, dim + 1))
+    eps = (None, None) if eps is None else eps
+    d_in = np.concatenate([_disc_input(x, t, e, state.schedule, cfg.t_conditioned)
+                           for x, e in zip((real, fake), eps)])
+    logits, dcache = forward(state.disc, d_in)
     r_logits, f_logits = logits[:m], logits[m:]
     dl = d_loss(r_logits, f_logits)
     d_fake_probs = sigmoid(f_logits)
@@ -381,13 +378,13 @@ def train_step(state: TrainState) -> None:
     if not (np.isfinite(dl) and np.isfinite(gl)):
         # the diagnostic row: a window of this step alone, at the ceiling it ran at
         trace.window[:] = [values]
-        trace.close_window(state.step, policy.t_current if policy is not None else 0, 0.0)
+        trace.close_window(state.step, _ceiling(state), 0.0)
         raise NumericError(f"non-finite loss at step {state.step}: "
                            f"d_loss={dl} g_loss={gl}")
     trace.window.append(values)
     if state.step % cfg.update_interval == 0:
         r_d = update_t(policy, rng) if policy is not None else 0.0
-        trace.close_window(state.step, policy.t_current if policy is not None else 0, r_d)
+        trace.close_window(state.step, _ceiling(state), r_d)
 
 
 def train(dataset: np.ndarray, config: GanConfig):
@@ -405,8 +402,7 @@ def train(dataset: np.ndarray, config: GanConfig):
     except NumericError as e:
         e.trace = state.trace
         raise
-    policy = state.policy
-    state.trace.close_window(state.step, policy.t_current if policy is not None else 0, 0.0)
+    state.trace.close_window(state.step, _ceiling(state), 0.0)
     return state.gen, state.disc, state.trace
 
 

@@ -512,11 +512,18 @@ class TestBadInputsExitWithAMessage:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
 
-    def test_train_reads_its_data_before_creating_out(self, tmp_path):
-        out = tmp_path / "o"
-        assert run(["train", "--data", str(tmp_path / "absent.csv"), *TRAIN_TINY,
-                    "--out", str(out)]) == 2
+    @pytest.mark.parametrize("command", ["train", "diffuse-demo"])
+    @pytest.mark.parametrize("content", [None, "", "1,x\n"],
+                             ids=["absent", "empty", "malformed"])
+    def test_reads_its_data_before_creating_out(self, tmp_path, capsys, command,
+                                                content):
+        path, out = tmp_path / "in.csv", tmp_path / "o"
+        if content is not None:
+            path.write_text(content)
+        argv = TRAIN_TINY if command == "train" else []
+        assert run([command, "--data", str(path), *argv, "--out", str(out)]) == 2
         assert not out.exists()
+        assert capsys.readouterr().err.startswith("data error:")
 
 
 # every GanConfig field, each at a valid value other than its default

@@ -1,6 +1,7 @@
 """The audit itself: its stacked finite differences and what it checks.
 
-``gradcheck.check_gen_path`` differentiates ``trainer.generator_loss``
+``gradcheck.check_gen_path`` differentiates the generator objective
+``trainer.generator_objective(disc, forward(gen, z, cache=False)[0], ...)``
 and compares it with ``trainer.generator_grads``, and ``train_step``
 takes its generator gradient from ``trainer.generator_grads``.  A wrong
 gradient in the trainer therefore fails the audit.
@@ -110,8 +111,9 @@ def reference_isolated(sizes, seed):
 def reference_gen_path(t, seed, t_conditioned):
     """``check_gen_path`` one coordinate at a time: (error, FD)."""
     gen, disc, z, t_arr, eps, analytic, _, coords = path_case(t, seed, t_conditioned)
-    fd = fd_on_coords(lambda: trainer.generator_loss(gen, disc, z, t_arr, eps, SCHEDULE,
-                                                     t_conditioned), gen, coords, H)
+    fd = fd_on_coords(lambda: trainer.generator_objective(
+        disc, forward(gen, z, cache=False)[0], t_arr, eps, SCHEDULE, t_conditioned),
+        gen, coords, H)
     return rel_err(analytic[coords], fd), fd
 
 

@@ -106,8 +106,9 @@ def replay_diffusion(dataset, cfg, n_steps):
         y_real = diffuse(real, t, rng.standard_normal(real.shape), sched)
         x_fake, _ = forward(gen, z)
         y_fake = diffuse(x_fake, t, rng.standard_normal(x_fake.shape), sched)
-        d_in = np.concatenate([cond_input(y_real, t, cfg.t_max_cap),
-                               cond_input(y_fake, t, cfg.t_max_cap)])
+        feat = t if cfg.t_conditioned else 0
+        d_in = np.concatenate([cond_input(y_real, feat, cfg.t_max_cap),
+                               cond_input(y_fake, feat, cfg.t_max_cap)])
         logits, dcache = forward(disc, d_in)
         r_log, f_log = logits[:m], logits[m:]
         dl = d_loss(r_log, f_log)
@@ -120,7 +121,8 @@ def replay_diffusion(dataset, cfg, n_steps):
         x_gen, gcache = forward(gen, z2)
         t2 = draw_t(pol, rng, m)
         y_gen = diffuse(x_gen, t2, rng.standard_normal(x_gen.shape), sched)
-        logits2, dcache2 = forward(disc, cond_input(y_gen, t2, cfg.t_max_cap))
+        feat2 = t2 if cfg.t_conditioned else 0
+        logits2, dcache2 = forward(disc, cond_input(y_gen, feat2, cfg.t_max_cap))
         gl = g_loss(logits2)
         _, in_grad = backward(disc, dcache2, -sigmoid(-logits2) / m)
         x_grad = in_grad[:, :dim] * np.sqrt(
@@ -150,20 +152,22 @@ def assert_nets_identical(a, b):
 class TestReplayOracle:
     def test_six_steps_match_bitwise(self):
         data = tiny_data()
-        cfg = tiny_config()
-        gen, disc, trace = train(data, cfg)
-        rgen, rdisc, rpol, rrows = replay_diffusion(data, tiny_config(), cfg.total_steps)
-        assert_nets_identical(gen, rgen)
-        assert_nets_identical(disc, rdisc)
-        assert len(trace.rows) == len(rrows) == 3
-        for got, want in zip(trace.rows, rrows):
-            assert got.step == want.step
-            assert got.t_ceiling == want.t_ceiling
-            assert got.r_d == want.r_d
-            assert got.d_loss == want.d_loss
-            assert got.g_loss == want.g_loss
-            assert got.d_real_mean == want.d_real_mean
-            assert got.d_fake_mean == want.d_fake_mean
+        for t_conditioned in (True, False):
+            cfg = tiny_config(t_conditioned=t_conditioned)
+            gen, disc, trace = train(data, cfg)
+            rgen, rdisc, rpol, rrows = replay_diffusion(
+                data, tiny_config(t_conditioned=t_conditioned), cfg.total_steps)
+            assert_nets_identical(gen, rgen)
+            assert_nets_identical(disc, rdisc)
+            assert len(trace.rows) == len(rrows) == 3
+            for got, want in zip(trace.rows, rrows):
+                assert got.step == want.step
+                assert got.t_ceiling == want.t_ceiling
+                assert got.r_d == want.r_d
+                assert got.d_loss == want.d_loss
+                assert got.g_loss == want.g_loss
+                assert got.d_real_mean == want.d_real_mean
+                assert got.d_fake_mean == want.d_fake_mean
 
     def test_split_learning_rates_match_bitwise(self):
         data = tiny_data()
