@@ -20,7 +20,7 @@ OUT = os.path.join(os.path.dirname(__file__), "out", "adaptive_ceiling")
 
 def scripted(name, window_probs, **policy_kw):
     rng = np.random.default_rng(0)
-    policy = init_policy(rng, **policy_kw)
+    policy = init_policy(rng, GanConfig(**policy_kw))
     ceilings = [policy.t_current]
     for probs in window_probs:
         observe_d(policy, np.asarray(probs, dtype=float))

@@ -15,7 +15,8 @@ import os
 
 import numpy as np
 
-from noisegan import build_schedule, diffuse, diffuse_chain, grid_25, sample_grid
+from noisegan import (GanConfig, build_schedule, diffuse, diffuse_chain, grid_25,
+                      sample_grid)
 from noisegan.svgplot import scatter_chart
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "forward_noising")
@@ -23,7 +24,8 @@ OUT = os.path.join(os.path.dirname(__file__), "out", "forward_noising")
 
 def main():
     os.makedirs(OUT, exist_ok=True)
-    schedule = build_schedule(1000, 1e-4, 0.02, 0.05)
+    schedule = build_schedule(GanConfig(t_max_cap=1000, beta_start=1e-4, beta_end=0.02,
+                                        sigma=0.05))
     rng = np.random.default_rng(0)
 
     x0 = np.array([1.5, -0.5])

@@ -9,12 +9,13 @@ sqrt(alpha_bar_t) Jacobian.
 
 import numpy as np
 
-from noisegan import build_schedule
+from noisegan import GanConfig, build_schedule
 from noisegan.gradcheck import check_gen_path, check_isolated, run_suite
 
 
 def main():
-    schedule = build_schedule(1000, 1e-4, 0.02, 0.05)
+    schedule = build_schedule(GanConfig(t_max_cap=1000, beta_start=1e-4, beta_end=0.02,
+                                        sigma=0.05))
 
     print("isolated nets, 3 seeds:")
     for sizes in ([2, 8, 8, 1], [2, 128, 128, 2]):

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from noisegan import (build_schedule, jsd_diffused, jsd_original,
+from noisegan import (GanConfig, build_schedule, jsd_diffused, jsd_original,
                       optimal_discriminator)
 from noisegan.svgplot import line_chart
 
@@ -23,7 +23,8 @@ OUT = os.path.join(os.path.dirname(__file__), "out", "toy_divergences")
 
 def main():
     os.makedirs(OUT, exist_ok=True)
-    schedule = build_schedule(1000, 1e-4, 0.02, 0.05)
+    schedule = build_schedule(GanConfig(t_max_cap=1000, beta_start=1e-4, beta_end=0.02,
+                                        sigma=0.05))
 
     thetas = np.linspace(-1.0, 1.0, 161)
     series = [("no noise", list(thetas),

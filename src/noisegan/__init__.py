@@ -1,11 +1,12 @@
 """noisegan: GANs trained against forward-noised data on toy 2-D problems.
 
-The pieces: a linear-ramp noising schedule with a closed-form marginal
-(``schedule``), an adaptive per-sample noise-level policy (``tsampler``),
-dense nets with hand-written backprop and Adam (``net``), the training
-loop (``trainer``), a fully analytic two-segments toy problem for
-divergence studies (``analytic``), the 25-Gaussians benchmark with a
-mode-coverage metric (``data``), and finite-difference gradient audits
+The pieces: the run configuration (``config``), a linear-ramp noising
+schedule with a closed-form marginal (``schedule``), an adaptive
+per-sample noise-level policy (``tsampler``), dense nets with
+hand-written backprop and Adam (``net``), the training loop
+(``trainer``), a fully analytic two-segments toy problem for divergence
+studies (``analytic``), the 25-Gaussians benchmark with a mode-coverage
+metric (``data``), and finite-difference gradient audits
 (``gradcheck``).  ``python -m noisegan.cli`` or the ``noisegan`` script
 exposes all of it.
 """

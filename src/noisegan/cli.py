@@ -2,7 +2,9 @@
 
 Subcommands: train, toy-jsd, toy-disc, schedule-dump, gradcheck,
 diffuse-demo.  A command's own flags are the fields of its spec class in
-``_COMMANDS``, which give the parser, the range checks and meta.json.
+``_COMMANDS``; ``train`` adds one per ``GanConfig`` field and every other
+command the four schedule fields.  The fields give the parser, the range
+checks, ``--help`` and meta.json.
 Every run creates --out, writes meta.json (resolved parameters and seed)
 into it, then its artifacts; reruns with the same arguments and seed
 produce byte-identical CSVs.
@@ -14,7 +16,6 @@ error, 3 numeric failure (``train`` still writes its ``trace.csv``).
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
@@ -26,13 +27,14 @@ import numpy as np
 from . import __version__
 from .analytic import (LN2, ToyParams, jsd_diffused, jsd_original,
                        optimal_discriminator, wasserstein_reference)
+from .config import (FINITE, POSITIVE, GanConfig, at_least, check_fields, check_ramp,
+                     config_from_dict)
 from .data import coverage, grid_25, load_csv, sample_grid, save_csv, write_rows
 from .errors import DataError, NumericError
 from .gradcheck import ISOLATED_BOUND, PATH_BOUND, run_suite
 from .net import save_net
 from .schedule import build_schedule, diffuse
-from .trainer import (FINITE, POSITIVE, GanConfig, at_least, check_fields,
-                      config_from_dict, generate, train)
+from .trainer import generate, train
 from .svgplot import line_chart, scatter_chart
 
 
@@ -60,10 +62,10 @@ def _write_json(path, doc) -> None:
 
 def _start(args, seed: int, params: dict) -> None:
     """Create --out and write meta.json into it: the command, its seed and
-    the value of each flag of its spec, or of ``params`` where given."""
-    spec = _COMMANDS[args.command][0]
+    the value of each flag in ``_checked``, or of ``params`` where given."""
     doc = {"command": args.command, "seed": seed, "version": __version__,
-           "params": {**{f.name: getattr(args, f.name) for f in fields(spec)}, **params}}
+           "params": {**{f.name: getattr(args, f.name) for f in _checked(args.command)},
+                      **params}}
     try:
         os.makedirs(args.out, exist_ok=True)
         _write_json(os.path.join(args.out, "meta.json"), doc)
@@ -92,17 +94,16 @@ def _parse_levels(args, schedule, lowest: int = 0):
 
 
 def _prepare(args, lowest: int = 0, before=None):
-    """Build the schedule and parse ``--t-list`` (levels None without one),
-    run ``before(schedule, levels)`` if given, then create --out with its
-    meta.json; returns (schedule, levels)."""
-    params = {name: getattr(args, name) for name in _SCHEDULE_PARAMS}
-    schedule = build_schedule(**params)
-    if "t_list" in vars(args):
-        params["t_list"] = _parse_levels(args, schedule, lowest)
+    """Check the ramp's order and build the schedule, parse ``--t-list``
+    (levels None without one), run ``before(schedule, levels)`` if given,
+    then create --out with its meta.json; returns (schedule, levels)."""
+    check_ramp(args)
+    schedule = build_schedule(args)
+    levels = _parse_levels(args, schedule, lowest) if "t_list" in vars(args) else None
     if before:
-        before(schedule, params.get("t_list"))
-    _start(args, args.seed, params)
-    return schedule, params.get("t_list")
+        before(schedule, levels)
+    _start(args, args.seed, {} if levels is None else {"t_list": levels})
+    return schedule, levels
 
 
 def _grid(lo: float, hi: float, steps: int, flags: str) -> np.ndarray:
@@ -112,24 +113,19 @@ def _grid(lo: float, hi: float, steps: int, flags: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _flag_name(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
 def _flag(f) -> str:
     """The flag of spec field ``f``: ``metadata["flag"]`` or its name with dashes."""
-    return f.metadata.get("flag", _flag_name(f.name))
+    return f.metadata.get("flag", "--" + f.name.replace("_", "-"))
 
 
-_SCHEDULE_PARAMS = inspect.signature(build_schedule).parameters
 _FLAG_TYPES = {"int": int, "float": float, "str": str}
 
 
-def _add_flags(p, spec, unset=False):
-    """One flag per field of the dataclass ``spec`` (see ``GanConfig``'s
+def _add_flags(p, of, unset=False):
+    """One flag per dataclass field in ``of`` (see ``GanConfig``'s
     docstring), stored under the field's name, with its range in its help;
     a flag not given takes the field's default, or ``None`` with ``unset``."""
-    for f in fields(spec):
+    for f in of:
         kw = {k: f.metadata[k] for k in ("help", "choices") if k in f.metadata}
         if "range" in f.metadata:
             kw["help"] = f"{kw.get('help', '')} (must be {f.metadata['range'][0]})"
@@ -409,24 +405,29 @@ _COMMANDS = {
     "diffuse-demo": (DiffuseDemoFlags, cmd_diffuse_demo,
                      "noise a point cloud at several levels"),
 }
+_SCHEDULE = tuple(f for f in fields(GanConfig)
+                  if f.name in ("t_max_cap", "beta_start", "beta_end", "sigma"))
+
+
+def _checked(command: str) -> tuple:
+    """The fields whose flags ``main`` checks and meta.json records: the
+    spec's, then the schedule's on every command but ``train``."""
+    spec = _COMMANDS[command][0]
+    return fields(spec) + (() if spec is TrainFlags else _SCHEDULE)
 
 
 def build_parser() -> _Parser:
-    """Each command's flags: --out, then its spec's, then ``GanConfig``'s
-    for ``train`` and the schedule's for every other command."""
+    """Each command's flags: --out, then ``_checked``'s, then ``GanConfig``'s
+    for ``train``."""
     parser = _Parser(prog="noisegan",
                      description="noise-annealed GAN toolbox")
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
     for name, (spec, _, summary) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         p.add_argument("--out", default="out")
-        _add_flags(p, spec)
+        _add_flags(p, _checked(name))
         if spec is TrainFlags:
-            _add_flags(p, GanConfig, unset=True)
-        else:
-            for param in _SCHEDULE_PARAMS.values():
-                p.add_argument(_flag_name(param.name), type=type(param.default),
-                               default=param.default)
+            _add_flags(p, fields(GanConfig), unset=True)
     return parser
 
 
@@ -437,8 +438,8 @@ def main(argv=None) -> int:
         if not getattr(args, "command", None):
             parser.print_usage(sys.stderr)
             return 1
-        spec, run, _ = _COMMANDS[args.command]
-        check_fields(args, spec, _flag)
+        run = _COMMANDS[args.command][1]
+        check_fields(args, _checked(args.command), _flag)
         # a command's own finiteness checks decide a numeric failure, so
         # NumPy's overflow and invalid-value warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore"):

@@ -1,8 +1,9 @@
 """Forward noising schedule.
 
-A schedule fixes a linear variance ramp ``betas`` and the cumulative
-products ``alpha_bars`` that give the closed-form marginal of the
-noising chain.  Corrupting a sample ``x`` at level ``t`` draws
+A schedule, built from a ``GanConfig``'s four schedule settings, fixes
+a linear variance ramp ``betas`` and the cumulative products
+``alpha_bars`` that give the closed-form marginal of the noising chain.
+Corrupting a sample ``x`` at level ``t`` draws
 
     y = sqrt(alpha_bars[t]) * x + sqrt(1 - alpha_bars[t]) * sigma * eps
 
@@ -14,10 +15,11 @@ mostly so tests can confirm the equivalence.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .config import GanConfig
 
 
 @dataclass(frozen=True)
@@ -52,34 +54,19 @@ class DiffusionSchedule:
             table.setflags(write=False)
 
 
-def check_schedule_settings(t_max_cap, beta_start, beta_end, sigma) -> None:
-    """Raise ``ValueError`` unless the schedule settings are in range."""
-    if t_max_cap < 1:
-        raise ValueError(f"t_max_cap must be >= 1, got {t_max_cap}")
-    if not (0.0 < beta_start <= beta_end < 1.0):
-        raise ValueError(
-            f"need 0 < beta_start <= beta_end < 1, got {beta_start}, {beta_end}")
-    if not (0.0 < sigma < math.inf):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-
-
-def build_schedule(t_max_cap: int = 1000,
-                   beta_start: float = 1e-4,
-                   beta_end: float = 0.02,
-                   sigma: float = 0.05) -> DiffusionSchedule:
-    """Build a linear-ramp schedule.
-
-    ``betas`` interpolates linearly from ``beta_start`` at level 1 to
-    ``beta_end`` at level ``t_max_cap``.  Raises ``ValueError`` for
-    out-of-range parameters (see ``check_schedule_settings``).
+def build_schedule(settings=None) -> DiffusionSchedule:
+    """Build the schedule of ``settings``, anything with the four settings
+    as attributes: a ``GanConfig`` (default ``GanConfig()``) or a command's
+    parsed flags, checked by their owner.  ``betas`` interpolates linearly
+    from ``beta_start`` at level 1 to ``beta_end`` at level ``t_max_cap``.
     """
-    check_schedule_settings(t_max_cap, beta_start, beta_end, sigma)
-    betas = np.zeros(t_max_cap + 1)
-    betas[1:] = np.linspace(beta_start, beta_end, t_max_cap)
+    s = GanConfig() if settings is None else settings
+    betas = np.zeros(s.t_max_cap + 1)
+    betas[1:] = np.linspace(s.beta_start, s.beta_end, s.t_max_cap)
     alphas = 1.0 - betas.astype(np.longdouble)
     alpha_bars = np.cumprod(alphas)  # alpha_bars[0] = 1 - 0 = 1 exactly
-    return DiffusionSchedule(t_max_cap, float(beta_start), float(beta_end),
-                             float(sigma), betas, alpha_bars)
+    return DiffusionSchedule(s.t_max_cap, float(s.beta_start), float(s.beta_end),
+                             float(s.sigma), betas, alpha_bars)
 
 
 def _check_t(t, cap: int) -> np.ndarray:

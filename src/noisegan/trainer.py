@@ -1,6 +1,8 @@
 """GAN training loop with forward-noising and the adaptive level policy.
 
-Each step does, in order:
+``init_train_state`` validates the run's ``GanConfig`` (``noisegan.config``)
+and builds the nets, the schedule and the policy from it.  Each step
+does, in order:
 
   I.  discriminator update — draw latents and a real minibatch, noise
       both at *shared* per-sample levels drawn from the exploration
@@ -31,128 +33,17 @@ the same stream as the two (m, d) draws.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .config import GanConfig, config_from_dict  # noqa: F401 (re-exported)
 from .data import write_rows
 from .errors import NumericError
 from .net import (AdamState, DenseNet, adam_step, backward, cond_input,
                   forward, init_dense)
-from .schedule import (DiffusionSchedule, build_schedule, check_schedule_settings,
-                       diffuse)
-from .tsampler import (MODES, TimestepPolicy, check_policy_settings, draw_t,
-                       init_policy, observe_d, update_t)
-
-
-def at_least(low):
-    """The range of a count: ``>= low``."""
-    return f">= {low}", lambda v: v >= low
-
-
-FINITE = "finite", math.isfinite
-POSITIVE = "finite and > 0", lambda v: 0.0 < v < math.inf
-_RATE = "finite and >= 0", lambda v: 0.0 <= v < math.inf
-_DECAY = "in [0, 1)", lambda v: 0.0 <= v < 1.0
-
-
-@dataclass
-class GanConfig:
-    """Hyperparameters; defaults are the grid-of-Gaussians setup.
-
-    Each field is a ``train`` flag: ``metadata["flag"]`` or the name with
-    dashes; a bool field's flag sets the opposite of its default; see
-    ``check_fields`` for ``metadata["range"]``.
-    """
-
-    total_steps: int = field(default=20000, metadata={"flag": "--steps",
-                                                      "range": at_least(0)})
-    batch_size: int = field(default=128, metadata={"flag": "--batch",
-                                                   "range": at_least(1)})
-    latent_dim: int = field(default=2, metadata={"range": at_least(1)})
-    hidden: int = field(default=128, metadata={"range": at_least(1)})
-    lr: float = field(default=1e-4, metadata={"range": _RATE})
-    lr_d: float | None = field(default=None, metadata={
-        "help": "discriminator learning rate (defaults to --lr)", "range": _RATE})
-    beta1: float = field(default=0.5, metadata={"range": _DECAY})
-    seed: int = field(default=1, metadata={"range": at_least(0)})
-    # noising
-    diffusion_enabled: bool = field(default=True, metadata={"flag": "--no-diffusion"})
-    sigma: float = 0.05
-    t_max_cap: int = 1000
-    beta_start: float = 1e-4
-    beta_end: float = 0.02
-    # level policy
-    t_min: int = 5
-    t_max: int = 1000
-    d_target: float = 0.6
-    c_step: int = 2
-    mode: str = field(default="priority", metadata={"choices": MODES})
-    update_interval: int = field(default=4, metadata={"range": at_least(1)})
-    t_conditioned: bool = field(default=True, metadata={
-        "flag": "--t-ignoring",
-        "help": "hide the level feature t/t_max_cap from the discriminator "
-                "(feature pinned to 0)"})
-
-    def validate(self) -> None:
-        check_fields(self)
-        check_schedule_settings(self.t_max_cap, self.beta_start, self.beta_end,
-                                self.sigma)
-        if not (self.t_max <= self.t_max_cap):
-            raise ValueError(f"t_max {self.t_max} exceeds t_max_cap {self.t_max_cap}")
-        # checked whichever arm runs, though only the noising arm builds a policy
-        check_policy_settings(self.t_min, self.t_max, self.d_target, self.c_step,
-                              self.mode)
-
-    @property
-    def disc_lr(self) -> float:
-        """The discriminator's learning rate: ``lr_d``, or ``lr`` when unset."""
-        return self.lr if self.lr_d is None else self.lr_d
-
-
-# declared type -> (accepted types, description): a float field takes ints,
-# no number field takes a bool, and only an optional field takes None
-_KINDS = {
-    "int": ((int, np.integer), "an int"),
-    "float": ((int, float, np.integer, np.floating), "a number"),
-    "bool": ((bool, np.bool_), "true or false"),
-    "str": ((str,), "a string"),
-}
-
-
-def check_fields(obj, spec=None, name=lambda f: f.name) -> None:
-    """Raise ``ValueError`` unless each field of the dataclass ``spec``
-    (default: ``obj``'s own), read from ``obj``, has its declared type and,
-    unless it is None, lies in its ``metadata["range"]``, a pair (what, ok)
-    with ``ok(value)`` true in range.  The type is checked first, so no
-    range test sees a wrong type; a message names a field ``name(field)``."""
-    for f in fields(spec or obj):
-        value = getattr(obj, f.name)
-        base, _, rest = f.type.partition(" | ")    # annotations are strings here
-        optional = rest == "None"
-        if value is None and optional:
-            continue
-        accepted, what = _KINDS[base]
-        # a bool is an int to Python, but not a number here
-        if not isinstance(value, accepted) or (base != "bool" and isinstance(value, bool)):
-            what += " or null" if optional else ""
-            raise ValueError(f"{name(f)} must be {what}, got {value!r:.40}")
-        if base == "float" and isinstance(value, int) and abs(value) > sys.float_info.max:
-            raise ValueError(f"{name(f)} is too large for a float, got {value!r:.40}")
-        what, ok = f.metadata.get("range", ("", None))
-        if ok and not ok(value):
-            raise ValueError(f"{name(f)} must be {what}, got {value!s:.40}")
-
-
-def config_from_dict(doc: dict) -> GanConfig:
-    """Build a config from a mapping, rejecting unknown keys."""
-    known = {f.name for f in fields(GanConfig)}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    return GanConfig(**doc)
+from .schedule import DiffusionSchedule, build_schedule, diffuse
+from .tsampler import TimestepPolicy, draw_t, init_policy, observe_d, update_t
 
 
 @dataclass
@@ -266,17 +157,14 @@ def init_train_state(dataset: np.ndarray, config: GanConfig) -> TrainState:
         raise ValueError("dataset contains non-finite values")
     dim = data.shape[1]
     rng = np.random.default_rng(config.seed)
-    schedule = build_schedule(config.t_max_cap, config.beta_start,
-                              config.beta_end, config.sigma)
+    schedule = build_schedule(config)
     gen = init_dense([config.latent_dim, config.hidden, config.hidden, dim], rng)
     disc = init_dense([dim + 1, config.hidden, config.hidden, 1], rng)
     opt_g = AdamState(config.lr, config.beta1)
     opt_d = AdamState(config.disc_lr, config.beta1)
     policy = None
     if config.diffusion_enabled:
-        policy = init_policy(rng, t_min=config.t_min, t_max=config.t_max,
-                             d_target=config.d_target, c_step=config.c_step,
-                             mode=config.mode)
+        policy = init_policy(rng, config)
     return TrainState(config, data, rng, schedule, gen, disc, opt_g, opt_d,
                       policy, TrainTrace())
 

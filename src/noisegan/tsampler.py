@@ -11,63 +11,45 @@ confident on real data and down otherwise.
 
 Confidence is summarized by ``r_d``, the window average of
 ``sign(d - 0.5)`` over the discriminator's post-sigmoid outputs on
-noised *real* samples only, so ``r_d`` lives in [-1, 1].
+noised *real* samples only, so ``r_d`` lives in [-1, 1].  A policy
+reads its settings, ``t_min`` to ``mode``, from a ``GanConfig``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import MODES, GanConfig
+
 EXPLORE_SIZE = 64   # entries in the exploration list
 ZERO_HALF = 32      # leading entries pinned at level 0
-
-MODES = ("uniform", "priority")
 
 
 @dataclass
 class TimestepPolicy:
     """Mutable state of the adaptive level sampler (single-owner)."""
 
-    t_min: int = 5
-    t_max: int = 1000
-    d_target: float = 0.6
-    c_step: int = 2
-    mode: str = "priority"
+    config: GanConfig
     t_current: int = field(init=False)
     explore_levels: np.ndarray = field(init=False)  # (EXPLORE_SIZE,) ints
     _sign_sum: float = field(init=False, default=0.0)
     _sign_count: int = field(init=False, default=0)
 
     def __post_init__(self):
-        check_policy_settings(self.t_min, self.t_max, self.d_target, self.c_step,
-                              self.mode)
-        self.t_current = self.t_min
+        self.t_current = self.config.t_min
         self.explore_levels = np.zeros(EXPLORE_SIZE, dtype=np.int64)
 
 
-def check_policy_settings(t_min, t_max, d_target, c_step, mode) -> None:
-    """Raise ``ValueError`` unless the policy settings are in range."""
-    if not (1 <= t_min <= t_max):
-        raise ValueError(f"need 1 <= t_min <= t_max, got {t_min}, {t_max}")
-    if c_step < 1:
-        raise ValueError(f"c_step must be >= 1, got {c_step}")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if not math.isfinite(d_target) or not (-1.0 <= d_target <= 1.0):
-        raise ValueError(f"d_target must be finite in [-1, 1], got {d_target}")
-
-
-def init_policy(rng: np.random.Generator, **kwargs) -> TimestepPolicy:
-    """Create a policy and draw its first exploration list."""
-    policy = TimestepPolicy(**kwargs)
+def init_policy(rng: np.random.Generator, config: GanConfig) -> TimestepPolicy:
+    """Create the policy of ``config`` and draw its first exploration list."""
+    policy = TimestepPolicy(config)
     resample_levels(policy, rng)
     return policy
 
 
-def level_weights(t_current: int, mode: str = "priority") -> np.ndarray:
+def level_weights(t_current: int, mode: str) -> np.ndarray:
     """Sampling weights over levels ``1..t_current`` (sums to 1).
 
     uniform :  1/T each
@@ -90,7 +72,7 @@ def resample_levels(policy: TimestepPolicy, rng: np.random.Generator) -> None:
     ``1..t_current`` using the policy's weighting mode; the zero half is
     left untouched.
     """
-    weights = level_weights(policy.t_current, policy.mode)
+    weights = level_weights(policy.t_current, policy.config.mode)
     draws = rng.choice(np.arange(1, policy.t_current + 1), size=EXPLORE_SIZE - ZERO_HALF,
                        replace=True, p=weights)
     policy.explore_levels[:ZERO_HALF] = 0
@@ -134,8 +116,9 @@ def update_t(policy: TimestepPolicy, rng: np.random.Generator) -> float:
     if policy._sign_count == 0:
         raise ValueError("update_t called on an empty observation window")
     r_d = policy._sign_sum / policy._sign_count
-    step = int(np.sign(r_d - policy.d_target)) * policy.c_step
-    policy.t_current = int(np.clip(policy.t_current + step, policy.t_min, policy.t_max))
+    cfg = policy.config
+    step = int(np.sign(r_d - cfg.d_target)) * cfg.c_step
+    policy.t_current = int(np.clip(policy.t_current + step, cfg.t_min, cfg.t_max))
     policy._sign_sum = 0.0
     policy._sign_count = 0
     resample_levels(policy, rng)

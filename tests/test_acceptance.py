@@ -25,7 +25,8 @@ from noisegan.schedule import build_schedule, diffuse_chain
 from noisegan.trainer import GanConfig, generate, train
 from noisegan.tsampler import init_policy, observe_d, update_t
 
-SCHED = build_schedule(1000, 1e-4, 0.02, 0.05)
+SCHED = build_schedule(GanConfig(t_max_cap=1000, beta_start=1e-4, beta_end=0.02,
+                                 sigma=0.05))
 
 
 def _report(name: str, ok: bool, detail: str) -> bool:
@@ -85,16 +86,16 @@ def test_a7_scripted_ceiling_trajectories():
             path.append(policy.t_current)
         return path
 
-    ramp = drive(init_policy(rng, t_min=5, t_max=15, d_target=0.6, c_step=2),
+    ramp = drive(init_policy(rng, GanConfig(t_min=5, t_max=15, d_target=0.6, c_step=2)),
                  [probs_up] * 8)
     ok = ramp == [5, 7, 9, 11, 13, 15, 15, 15, 15]
 
-    pol = init_policy(rng, t_min=3, t_max=40, d_target=0.6, c_step=2)
+    pol = init_policy(rng, GanConfig(t_min=3, t_max=40, d_target=0.6, c_step=2))
     descent = drive(pol, [probs_up] * 3 + [probs_down] * 5)
     ok = ok and descent == [3, 5, 7, 9, 7, 5, 3, 3, 3]
 
     # r_d exactly on target freezes T: signs (+,-,+,+) average to 0.5
-    frozen = drive(init_policy(rng, t_min=5, t_max=40, d_target=0.5, c_step=2),
+    frozen = drive(init_policy(rng, GanConfig(t_min=5, t_max=40, d_target=0.5, c_step=2)),
                    [[1.0, 0.0, 1.0, 1.0]] * 3 + [probs_up] + [[1.0, 0.0, 1.0, 1.0]])
     ok = ok and frozen == [5, 5, 5, 5, 7, 7]
 
@@ -216,8 +217,7 @@ def test_a8_injected_noise_does_not_leak():
         std_diff = generate(gen, 10_000, np.random.default_rng([seed, 2])).std(axis=0)
         # the noise counts as on only if, on every trace window, the
         # ceiling sat at a level whose injected std is at least the data's 0.3
-        sched = build_schedule(cfg.t_max_cap, cfg.beta_start, cfg.beta_end,
-                               cfg.sigma)
+        sched = build_schedule(cfg)
         ceilings = trace.column("T")
         on_share = float(np.mean(sched.noise[ceilings] >= 0.3))
 

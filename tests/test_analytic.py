@@ -30,10 +30,18 @@ from noisegan import analytic
 from noisegan.analytic import (LN2, DiscreteJointSpec, JsdEstimate, ToyParams,
                                jsd_diffused, jsd_joint_equality, jsd_original,
                                optimal_discriminator, wasserstein_reference)
+from noisegan.config import GanConfig
 from noisegan.errors import DataError
 from noisegan.schedule import build_schedule
 
-SCHED = build_schedule(1000, 1e-4, 0.02, 0.05)
+
+def ramp(sigma):
+    """The default ramp (1000 levels, betas 1e-4 to 0.02) at noise scale ``sigma``."""
+    return build_schedule(GanConfig(t_max_cap=1000, beta_start=1e-4, beta_end=0.02,
+                                    sigma=sigma))
+
+
+SCHED = ramp(0.05)
 
 
 def gauss_hermite_jsd(theta, t, nodes=200):
@@ -131,16 +139,16 @@ class TestToyParamsAt:
     ], ids=["at", "quadrature", "monte_carlo", "optimal_discriminator"])
     def test_overflowing_noise_variance_names_t_and_sigma(self, call):
         # sigma ** 2 overflows above about 1.34e154
-        huge = build_schedule(1000, 1e-4, 0.02, 1e300)
+        huge = ramp(1e300)
         with pytest.raises(ValueError, match=r"t=7 with sigma=1e\+300 gives a non-finite"):
             call(huge)
-        assert ToyParams.at(0.4, 7, build_schedule(1000, 1e-4, 0.02, 1e154)).b_t < math.inf
+        assert ToyParams.at(0.4, 7, ramp(1e154)).b_t < math.inf
 
     @pytest.mark.filterwarnings("error")
     def test_largest_finite_variance(self):
         # b_1000 = 1.7e308: the quadrature needs only the offset in stds,
         # while Monte Carlo's squares of draws would overflow, so it refuses
-        big = build_schedule(1000, 1e-4, 0.02, 1.3e154)
+        big = ramp(1.3e154)
         assert 0.0 < jsd_diffused(1e154, 1000, big).value < LN2
         with pytest.raises(ValueError, match=r"t=1000 with sigma=1.3e\+154 .* squared 8-std"):
             jsd_diffused(1e154, 1000, big, method="monte_carlo", n=100)
@@ -386,7 +394,7 @@ class TestOptimalDiscriminator:
     def test_finite_at_every_finite_input(self):
         # y whose square overflows, at the default sigma and at a sigma
         # with b_1 = 1.7e304: the log-ratio squares nothing
-        big = build_schedule(1000, 1e-4, 0.02, 1.3e154)
+        big = ramp(1.3e154)
         assert np.array_equal(optimal_discriminator([-1e300, 1e300], 0.5, 50, SCHED),
                               [1.0, 0.0])
         out = optimal_discriminator([-1e300, 0.0, 1e300], 0.5, 1, big)

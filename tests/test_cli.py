@@ -6,7 +6,6 @@ the artifact metadata promises).
 """
 
 import argparse
-import inspect
 import json
 import math
 from dataclasses import asdict, fields
@@ -403,6 +402,13 @@ class TestBadInputsExitWithAMessage:
         ({"update_interval": 0, "lr": 0.01}, "update_interval must be >= 1, got 0"),
         ({"lr": float("nan")}, "lr must be finite and >= 0"),
         ({"sigma": -1.0}, "sigma must be finite and > 0"),
+        ({"mode": "greedy"}, "mode must be one of uniform, priority"),
+        ({"t_max": 2000}, "need t_min <= t_max <= t_max_cap, got 5, 2000, 1000"),
+        ({"beta_start": 0.03, "beta_end": 0.02}, "need beta_start <= beta_end"),
+        ({"d_target": float("nan")}, "d_target must be in [-1, 1], got nan"),
+        ({"c_step": 0}, "c_step must be >= 1"),
+        ({"t_min": 0}, "t_min must be >= 1"),
+        ({"t_max_cap": 0}, "t_max_cap must be >= 1"),
     ])
     def test_out_of_range_config_value(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "c.json"
@@ -538,6 +544,8 @@ RENAMED = {"total_steps": "--steps", "batch_size": "--batch",
            "diffusion_enabled": "--no-diffusion", "t_conditioned": "--t-ignoring"}
 SCHEDULE_COMMANDS = ("toy-jsd", "toy-disc", "schedule-dump", "gradcheck",
                      "diffuse-demo")
+# the GanConfig fields whose flags every command but train takes
+SCHEDULE_FIELDS = ("t_max_cap", "beta_start", "beta_end", "sigma")
 
 
 def train_flags():
@@ -556,9 +564,10 @@ class TestFlagsComeFromTheConfig:
     @pytest.mark.parametrize("command", SCHEDULE_COMMANDS)
     def test_schedule_defaults_are_build_schedule_defaults(self, command):
         args = build_parser().parse_args([command])
-        for name, param in inspect.signature(build_schedule).parameters.items():
-            value = getattr(args, name)
-            assert value == param.default and type(value) is type(param.default)
+        for name in SCHEDULE_FIELDS:
+            value, default = getattr(args, name), getattr(GanConfig(), name)
+            assert value == default and type(value) is type(default)
+        assert np.array_equal(build_schedule(args).alpha_bars, build_schedule().alpha_bars)
 
     def test_flag_names(self):
         flags = train_flags()
@@ -606,11 +615,16 @@ class TestFlagsComeFromTheConfig:
                    if isinstance(a, argparse._SubParsersAction))
         actions = {a.dest: a for a in sub.choices[command]._actions
                    if a.option_strings and a.dest != "help"}
-        rest = ({f.name for f in fields(GanConfig)} if command == "train"
-                else set(inspect.signature(build_schedule).parameters))
-        assert set(actions) == {f.name for f in fields(spec)} | {"out"} | rest
+        config = [f for f in fields(GanConfig)
+                  if command == "train" or f.name in SCHEDULE_FIELDS]
+        assert set(actions) == {f.name for f in [*fields(spec), *config]} | {"out"}
         for f in fields(spec):
             assert actions[f.name].default == f.default
+        if command != "train":      # the schedule flags take GanConfig's defaults
+            assert all(actions[f.name].default == f.default for f in config)
+        # every GanConfig setting but a switch declares its range or its choices
+        assert all({"range", "choices"} & set(f.metadata) for f in config if f.type != "bool")
+        for f in [*fields(spec), *config]:
             if "range" in f.metadata:
                 assert "must be " + f.metadata["range"][0] in actions[f.name].help
 
@@ -627,8 +641,7 @@ class TestFlagsComeFromTheConfig:
         assert run([command, "--out", str(out), *argv]) == 0
         params = json.loads((out / "meta.json").read_text())["params"]
         spec = cli._COMMANDS[command][0]
-        rest = set() if command == "train" else set(
-            inspect.signature(build_schedule).parameters)
+        rest = set() if command == "train" else set(SCHEDULE_FIELDS)
         assert set(params) == {f.name for f in fields(spec)} | rest
         if command == "train":
             assert params["config"] == asdict(_resolve_config(

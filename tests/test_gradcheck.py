@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from noisegan import gradcheck, trainer
+from noisegan.config import GanConfig
 from noisegan.gradcheck import (DISC_SIZES, GEN_SIZES, SMALL_SIZES, _central,
                                 _clear, check_gen_path, check_isolated,
                                 fd_stacked, pick_coords, random_net, rel_err,
@@ -218,7 +219,7 @@ def test_unconditioned_level_feature_passes(t):
 
 
 def test_suite_rows_leave_out_the_unconditioned_check():
-    rows, _, _ = run_suite(build_schedule(t_max_cap=20), n_seeds=1, path_levels=(5,))
+    rows, _, _ = run_suite(build_schedule(GanConfig(t_max_cap=20)), n_seeds=1, path_levels=(5,))
     assert [r["check"] for r in rows] == ["isolated"] * 5 + ["path"]
 
 
@@ -248,4 +249,4 @@ def test_train_step_uses_generator_grads(monkeypatch):
                                 dict(path_levels=()), dict(path_levels=[])])
 def test_suite_refuses_to_check_nothing(kw):
     with pytest.raises(ValueError, match="n_seeds|path_levels"):
-        run_suite(build_schedule(t_max_cap=20), **{"n_seeds": 1, **kw})
+        run_suite(build_schedule(GanConfig(t_max_cap=20)), **{"n_seeds": 1, **kw})

@@ -5,7 +5,7 @@ from decimal import Decimal, getcontext
 import numpy as np
 import pytest
 
-from noisegan import build_schedule, diffuse, diffuse_chain
+from noisegan import GanConfig, build_schedule, diffuse, diffuse_chain
 
 getcontext().prec = 60
 
@@ -59,7 +59,7 @@ class TestBuildSchedule:
         assert 0.0 < float(s.alpha_bars[-1]) < 1.0
 
     def test_small_cap(self):
-        s = build_schedule(t_max_cap=1, beta_start=0.3, beta_end=0.3, sigma=1.0)
+        s = build_schedule(GanConfig(t_max_cap=1, beta_start=0.3, beta_end=0.3, sigma=1.0))
         assert s.betas[1] == 0.3
         assert float(s.alpha_bars[1]) == pytest.approx(0.7, rel=1e-18)
 
@@ -72,8 +72,9 @@ class TestBuildSchedule:
         dict(sigma=-1.0),
     ])
     def test_rejects_bad_params(self, kwargs):
+        # the settings are checked by their config, not by build_schedule
         with pytest.raises(ValueError):
-            build_schedule(**kwargs)
+            GanConfig(**kwargs).validate()
 
     def test_arrays_are_read_only(self):
         s = build_schedule()
@@ -82,7 +83,7 @@ class TestBuildSchedule:
 
 
     def test_coefficient_tables(self):
-        s = build_schedule(sigma=0.3)
+        s = build_schedule(GanConfig(sigma=0.3))
         a = s.alpha_bars.astype(np.float64)
         assert np.array_equal(s.keep, np.sqrt(a))
         assert np.array_equal(s.noise, np.sqrt(1.0 - a) * 0.3)

@@ -92,9 +92,8 @@ def replay_diffusion(dataset, cfg, n_steps):
     disc = init_dense([dim + 1, cfg.hidden, cfg.hidden, 1], rng)
     opt_g = AdamState(cfg.lr, cfg.beta1)
     opt_d = AdamState(cfg.lr if cfg.lr_d is None else cfg.lr_d, cfg.beta1)
-    sched = build_schedule(cfg.t_max_cap, cfg.beta_start, cfg.beta_end, cfg.sigma)
-    pol = init_policy(rng, t_min=cfg.t_min, t_max=cfg.t_max,
-                      d_target=cfg.d_target, c_step=cfg.c_step, mode=cfg.mode)
+    sched = build_schedule(cfg)
+    pol = init_policy(rng, cfg)
     m = cfg.batch_size
     rows = []
     win = []

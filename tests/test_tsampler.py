@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from noisegan import (TimestepPolicy, draw_t, init_policy, level_weights,
-                      observe_d, resample_levels, update_t)
+from noisegan import (GanConfig, draw_t, init_policy, level_weights, observe_d,
+                      resample_levels, update_t)
 from noisegan.tsampler import EXPLORE_SIZE, ZERO_HALF
 
 
@@ -39,7 +39,7 @@ class TestLevelWeights:
 class TestResampleAndDraw:
     def test_structure_half_zero_half_bounded(self):
         rng = np.random.default_rng(0)
-        p = init_policy(rng, t_min=5, t_max=1000)
+        p = init_policy(rng, GanConfig(t_min=5, t_max=1000))
         assert p.explore_levels.shape == (EXPLORE_SIZE,)
         assert np.all(p.explore_levels[:ZERO_HALF] == 0)
         live = p.explore_levels[ZERO_HALF:]
@@ -47,14 +47,14 @@ class TestResampleAndDraw:
 
     def test_ceiling_one_gives_all_ones(self):
         rng = np.random.default_rng(1)
-        p = init_policy(rng, t_min=1, t_max=10)
+        p = init_policy(rng, GanConfig(t_min=1, t_max=10))
         assert p.t_current == 1
         assert np.all(p.explore_levels[ZERO_HALF:] == 1)
 
     def test_priority_frequency_oracle(self):
         # ceiling 10, priority: P(level = 10) = 10/55; binomial 3-sigma band
         rng = np.random.default_rng(2)
-        p = init_policy(rng, t_min=10, t_max=10, mode="priority")
+        p = init_policy(rng, GanConfig(t_min=10, t_max=10, mode="priority"))
         n_resamples = 5000
         hits = total = 0
         for _ in range(n_resamples):
@@ -67,7 +67,7 @@ class TestResampleAndDraw:
 
     def test_uniform_frequency_oracle(self):
         rng = np.random.default_rng(3)
-        p = init_policy(rng, t_min=8, t_max=8, mode="uniform")
+        p = init_policy(rng, GanConfig(t_min=8, t_max=8, mode="uniform"))
         hits = total = 0
         for _ in range(5000):
             resample_levels(p, rng)
@@ -79,7 +79,7 @@ class TestResampleAndDraw:
 
     def test_draw_t_uniform_over_list(self):
         rng = np.random.default_rng(4)
-        p = init_policy(rng, t_min=9, t_max=9)
+        p = init_policy(rng, GanConfig(t_min=9, t_max=9))
         n = 100000
         draws = draw_t(p, rng, n)
         assert set(np.unique(draws)) <= set(np.unique(p.explore_levels))
@@ -89,14 +89,14 @@ class TestResampleAndDraw:
 
     def test_draw_t_empty_and_negative(self):
         rng = np.random.default_rng(5)
-        p = init_policy(rng, t_min=2, t_max=4)
+        p = init_policy(rng, GanConfig(t_min=2, t_max=4))
         assert draw_t(p, rng, 0).shape == (0,)
         with pytest.raises(ValueError):
             draw_t(p, rng, -1)
 
     def test_determinism(self):
-        p1 = init_policy(np.random.default_rng(7), t_min=50, t_max=100)
-        p2 = init_policy(np.random.default_rng(7), t_min=50, t_max=100)
+        p1 = init_policy(np.random.default_rng(7), GanConfig(t_min=50, t_max=100))
+        p2 = init_policy(np.random.default_rng(7), GanConfig(t_min=50, t_max=100))
         assert np.array_equal(p1.explore_levels, p2.explore_levels)
 
 
@@ -104,7 +104,7 @@ class TestObserveUpdate:
     def make(self, rng=None, **kw):
         kw.setdefault("t_min", 5)
         kw.setdefault("t_max", 1000)
-        return init_policy(rng or np.random.default_rng(0), **kw)
+        return init_policy(rng or np.random.default_rng(0), GanConfig(**kw))
 
     def test_confident_window_raises_ceiling(self):
         p = self.make()
@@ -200,7 +200,7 @@ class TestObserveUpdate:
         for _ in range(50):
             observe_d(p, rng.uniform(0, 1, 32))
             assert -1.0 <= update_t(p, rng) <= 1.0
-            assert p.t_min <= p.t_current <= p.t_max
+            assert p.config.t_min <= p.t_current <= p.config.t_max
 
 
 class TestPolicyValidation:
@@ -213,5 +213,6 @@ class TestPolicyValidation:
         dict(t_min=1, t_max=5, d_target=float("nan")),
     ])
     def test_rejects(self, kw):
+        # the settings are checked by their config, not by the policy
         with pytest.raises(ValueError):
-            TimestepPolicy(**kw)
+            GanConfig(**kw).validate()
